@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import get_emitter
+from repro.obs import MetricsEmitter, get_emitter
 from repro.overlay.generators import scale_free_topology
 from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
@@ -87,9 +87,9 @@ _EPS = 1e-12
 #: Upper bound on the edge mass a single segmented-expansion block of the
 #: vectorized scheduling kernel materialises at once.  Supplier choice is
 #: independent per candidate cell, so processing cells in bounded blocks is
-#: exact while capping the kernel's transient memory at a few hundred MB
-#: even for 10^5–10^6-peer swarms.
-_EDGE_BLOCK = 1 << 22
+#: exact; blocks of ~2^16 edges keep each pass's temporaries (a few MB per
+#: block, whatever the swarm size) in cache.
+_EDGE_BLOCK = 1 << 16
 
 
 def _choose_suppliers_for_cells(
@@ -112,7 +112,8 @@ def _choose_suppliers_for_cells(
     shard executor can run disjoint cell subsets concurrently (each cell's
     supplier depends only on its own edge segment, so any partition of the
     cells — like any ``_EDGE_BLOCK`` blocking — produces bit-identical
-    results).  Returns ``(chosen, resolved)`` aligned with ``sel``.
+    results).  Returns ``(chosen, resolved)`` aligned with ``sel``.  Every
+    selected cell's edge segment must be non-empty (``seg_len > 0``).
     """
     n = sel.size
     chosen = np.zeros(n, dtype=np.int64)
@@ -125,9 +126,10 @@ def _choose_suppliers_for_cells(
     sub_len = seg_len[sel]
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sub_len, out=starts[1:])
-    # Cells are processed in blocks of at most ~_EDGE_BLOCK edges: exact
-    # results, bounded transient memory (a full expansion at 10^6 peers
-    # would otherwise materialise hundreds of millions of entries).
+    # One flat index ``dst * width + col`` gathers eligibility and quotes.
+    width = have.shape[1]
+    have_flat = have.reshape(-1)
+    price_flat = price_win.reshape(-1)
     lo_cell = 0
     while lo_cell < n:
         hi_cell = int(
@@ -135,44 +137,40 @@ def _choose_suppliers_for_cells(
         ) - 1
         hi_cell = min(max(hi_cell, lo_cell + 1), n)
         block = slice(lo_cell, hi_cell)
-        n_cells = hi_cell - lo_cell
         seg = sub_len[block]
-        bstarts = starts[lo_cell : hi_cell + 1] - starts[lo_cell]
-        total = int(bstarts[-1])
-        cell_of = np.repeat(np.arange(n_cells), seg)
-        edge_pos = (
-            np.repeat(row_start[sub_rows[block]], seg)
-            + np.arange(total)
-            - np.repeat(bstarts[:-1], seg)
-        )
+        heads = starts[block] - starts[lo_cell]
+        edge_pos = np.repeat(row_start[sub_rows[block]] - heads, seg)
+        edge_pos += np.arange(edge_pos.size)
         dst = edge_dst[edge_pos]
-        cell_col = sub_cols[block][cell_of]
-        eligible = have[dst, cell_col]
-
-        if choice == "least-loaded":
-            score = np.where(eligible, uploads_total[dst], np.inf)
-            best = np.minimum.reduceat(score, bstarts[:-1])
-            tie = eligible & (score <= np.repeat(best, seg) + _EPS)
-        elif choice == "cheapest":
-            score = np.where(eligible, price_win[dst, cell_col], np.inf)
-            best = np.minimum.reduceat(score, bstarts[:-1])
-            tie = eligible & (score <= np.repeat(best, seg) + _EPS)
-        else:  # availability
-            tie = eligible
-        tie_int = tie.astype(np.int64)
-        tie_count = np.add.reduceat(tie_int, bstarts[:-1])
+        flat = np.multiply(dst, width, dtype=np.int64)
+        flat += np.repeat(sub_cols[block], seg)
+        tie = have_flat[flat]
+        if choice != "availability":
+            if choice == "least-loaded":
+                score = np.where(tie, uploads_total[dst], np.inf)
+            else:  # cheapest
+                score = np.where(tie, price_flat[flat], np.inf)
+            best = np.minimum.reduceat(score, heads)
+            tie &= score <= np.repeat(best + _EPS, seg)
+        tie_count = np.add.reduceat(tie, heads, dtype=np.int64)
         pick = np.floor(sub_u[block] * tie_count).astype(np.int64)
         pick = np.minimum(pick, tie_count - 1)  # u*cnt can round up to cnt
-        # Inclusive tie rank within each cell's segment: the chosen
-        # supplier is the (pick+1)-th tie in neighbour order — exactly
-        # the loop kernel's ``ties[pick]``.
-        cum = np.cumsum(tie_int)
-        rank = cum - np.repeat(cum[bstarts[:-1]] - tie_int[bstarts[:-1]], seg)
-        match = tie & (rank == np.repeat(pick + 1, seg))
-        chosen[lo_cell + cell_of[match]] = dst[match]
-        resolved[lo_cell + cell_of[match]] = True
+        # The chosen supplier is the loop kernel's ``ties[pick]``: tie number
+        # ``first_tie + pick`` of the block, ties taken in neighbour order.
+        ok = tie_count > 0
+        first_tie = np.cumsum(tie_count) - tie_count
+        ties = np.flatnonzero(tie)
+        chosen[block][ok] = dst[ties[first_tie[ok] + pick[ok]]]
+        resolved[block] = ok
         lo_cell = hi_cell
     return chosen, resolved
+
+
+def _emit_phase(emitter: MetricsEmitter, phase: str, since: float) -> float:
+    """Emit the time since ``since`` as ``streaming.phase.<phase>``; return now."""
+    now = time.perf_counter()
+    emitter.timing("streaming.phase." + phase, now - since)
+    return now
 
 
 @dataclass
@@ -189,7 +187,8 @@ class _StreamPack:
     pad a million rows.
 
     The pack is a pure cache derived from the per-peer neighbour rows; any
-    membership change drops it and the next tick rebuilds it.
+    membership change drops it and the next tick rebuilds it.  ``peer_ids``
+    caches each row's peer id for the per-chunk price quotes.
     """
 
     alive_slots: np.ndarray
@@ -197,6 +196,7 @@ class _StreamPack:
     edge_dst: np.ndarray
     row_start: np.ndarray
     row_of: Dict[int, int]
+    peer_ids: List[int]
 
     def neighbors_of_row(self, row: int) -> np.ndarray:
         """The neighbour-slot segment of pack row ``row`` (a view)."""
@@ -543,7 +543,10 @@ class StreamingMarketSimulator:
             row_start = np.zeros(count + 1, dtype=np.int64)
             np.cumsum(degrees, out=row_start[1:])
             row_of = {int(slot): row for row, slot in enumerate(alive_slots)}
-            self._pack = _StreamPack(alive_slots, degrees, edge_dst, row_start, row_of)
+            peer_ids = [self._peer_of[int(slot)] for slot in alive_slots]
+            self._pack = _StreamPack(
+                alive_slots, degrees, edge_dst, row_start, row_of, peer_ids
+            )
         return self._pack
 
     # ------------------------------------------------------------------ churn
@@ -566,12 +569,9 @@ class StreamingMarketSimulator:
 
     def _fill_price_column(self, col: int, chunk_index: int) -> None:
         """Quote every alive seller's posted price for one new chunk column."""
-        alive_slots = np.flatnonzero(self._alive)
-        if alive_slots.size == 0:
-            return
-        peer_ids = [self._peer_of[int(slot)] for slot in alive_slots]
-        self._price_win[alive_slots, col] = self.config.pricing.price_array(
-            peer_ids, chunk_index
+        pack = self._stream_pack()
+        self._price_win[pack.alive_slots, col] = self.config.pricing.price_array(
+            pack.peer_ids, chunk_index
         )
 
     def _refresh_price_window(self) -> None:
@@ -634,7 +634,8 @@ class StreamingMarketSimulator:
         Implements exactly the per-peer semantics of ``_schedule_loop`` —
         same candidate order, same supplier tie-breaks (cell ``(r, w)``
         spends uniform ``uniforms[r, w]``), same greedy budget rule, same
-        global admission order — as pure array operations.
+        global admission order — as pure array operations.  With telemetry
+        on, each phase is emitted as a ``streaming.phase.<name>`` timing.
         """
         config = self.config
         window = config.playback_window
@@ -642,6 +643,9 @@ class StreamingMarketSimulator:
         if count == 0 or live_edge < 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty, np.empty(0)
+        emitter = get_emitter()
+        observing = emitter.enabled and config.options.telemetry
+        mark = time.perf_counter() if observing else 0.0
 
         slots = pack.alive_slots
         abs_idx = self._pb_next[slots][:, None] + np.arange(window)[None, :]
@@ -649,6 +653,8 @@ class StreamingMarketSimulator:
         cols = np.clip(abs_idx - base, 0, self._win_width - 1)
         own = self._have[slots[:, None], cols]
         candidate = valid & ~own & (pack.degrees > 0)[:, None]
+        if observing:
+            mark = _emit_phase(emitter, "mask", mark)
 
         # Supplier choice for every candidate (peer, window-position) cell,
         # via a segmented expansion over each candidate peer's edge list.
@@ -658,8 +664,7 @@ class StreamingMarketSimulator:
         price = np.full((count, window), np.inf)
         supplier = np.zeros((count, window), dtype=np.int64)
         cand_rows, cand_ws = np.nonzero(candidate)
-        cells = cand_rows.size
-        if cells:
+        if cand_rows.size:
             cand_cols = cols[cand_rows, cand_ws]
             seg_len = pack.degrees[cand_rows]
             cand_u = uniforms[cand_rows, cand_ws]
@@ -670,6 +675,8 @@ class StreamingMarketSimulator:
             ws_ok = cand_ws[resolved]
             supplier[rows_ok, ws_ok] = chosen[resolved]
             price[rows_ok, ws_ok] = self._price_win[chosen[resolved], cand_cols[resolved]]
+        if observing:
+            mark = _emit_phase(emitter, "resolve", mark)
 
         # Greedy selection with budget skip, one vectorized pass per request
         # slot: each pass takes every peer's first still-affordable
@@ -690,12 +697,10 @@ class StreamingMarketSimulator:
             sel_w[takers, request] = picked
             budget[takers] -= open_price[takers, picked]
             open_price[takers, picked] = np.inf
+        if observing:
+            mark = _emit_phase(emitter, "greedy", mark)
 
-        selected = sel_w >= 0
-        if not selected.any():
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0)
-        flat = np.flatnonzero(selected.ravel())  # row-major = global order
+        flat = np.flatnonzero(sel_w.ravel() >= 0)  # row-major = global order
         rows = flat // max_requests
         w = sel_w.ravel()[flat]
         buyers = slots[rows]
@@ -707,13 +712,11 @@ class StreamingMarketSimulator:
         # first ``upload_capacity`` requests win.
         order = np.argsort(sellers, kind="stable")
         sorted_sellers = sellers[order]
-        size = sellers.size
-        new_group = np.ones(size, dtype=bool)
-        new_group[1:] = sorted_sellers[1:] != sorted_sellers[:-1]
-        group_first = np.maximum.accumulate(np.where(new_group, np.arange(size), 0))
-        admitted_sorted = (np.arange(size) - group_first) < config.upload_capacity
-        admitted = np.empty(size, dtype=bool)
-        admitted[order] = admitted_sorted
+        rank = np.arange(sellers.size) - np.searchsorted(sorted_sellers, sorted_sellers)
+        admitted = np.empty(sellers.size, dtype=bool)
+        admitted[order] = rank < config.upload_capacity
+        if observing:
+            _emit_phase(emitter, "admit", mark)
         return buyers[admitted], sellers[admitted], chunk_abs[admitted], paid[admitted]
 
     def _resolve_suppliers(
@@ -1060,15 +1063,12 @@ class StreamingMarketSimulator:
         )
         emitter = get_emitter()
         observing = emitter.enabled and options.telemetry
+        args = (pack, balances, uniforms, self._win_base, self._emitted - 1)
         if observing:
             with emitter.span("streaming.kernel." + options.kernel):
-                buyers, sellers, chunk_abs, prices = kernel(
-                    pack, balances, uniforms, self._win_base, self._emitted - 1
-                )
+                buyers, sellers, chunk_abs, prices = kernel(*args)
         else:
-            buyers, sellers, chunk_abs, prices = kernel(
-                pack, balances, uniforms, self._win_base, self._emitted - 1
-            )
+            buyers, sellers, chunk_abs, prices = kernel(*args)
         if observing and self._shard_plan is not None:
             # Admitted purchases whose buyer and seller live in different
             # shards — the chunk deliveries the boundary-exchange phase

@@ -8,7 +8,10 @@ uninstrumented ones) and the runner/cache/checkpoint layers emit their
 lifecycle events through the active emitter.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro.obs import (
     DISABLED,
@@ -219,6 +222,39 @@ class TestSimulatorTelemetry:
             assert (kernel["depth"], kernel["parent"]) == (1, "streaming.tick")
             assert (tick["depth"], tick["parent"]) == (0, None)
             assert 0.0 <= kernel["duration"] <= tick["duration"]
+
+    def test_streaming_phases_nest_inside_vectorized_kernel_span(self):
+        sink = MemorySink()
+        simulator = StreamingMarketSimulator(_streaming_config(ticks=10))
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            simulator.advance_rounds(10)
+        events = sink.span_events()
+        kernels = [e for e in events if e["name"] == "streaming.kernel.vectorized"]
+        phases = {
+            phase: [e for e in events if e["name"] == "streaming.phase." + phase]
+            for phase in ("mask", "resolve", "greedy", "admit")
+        }
+        for phase_events in phases.values():
+            assert len(phase_events) == len(kernels) == 10
+            for event in phase_events:
+                assert event["depth"] == 2
+                assert event["parent"] == "streaming.kernel.vectorized"
+        for tick, kernel in enumerate(kernels):
+            spent = sum(events[tick]["duration"] for events in phases.values())
+            assert 0.0 <= spent <= kernel["duration"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [KernelOptions(kernel="loop"), KernelOptions(kernel="vectorized", telemetry=False)],
+    )
+    def test_streaming_phases_only_from_observed_vectorized_kernel(self, options):
+        sink = MemorySink()
+        config = dataclasses.replace(_streaming_config(ticks=5), options=options)
+        simulator = StreamingMarketSimulator(config)
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            simulator.advance_rounds(5)
+        assert simulator.chunks_delivered > 0
+        assert not any(name.startswith("streaming.phase.") for name in sink.spans())
 
 
 class TestRunnerTelemetry:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.pricing import PerPeerFlatPricing, UniformPricing
 from repro.overlay.churn import ChurnConfig
 from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
+from repro.p2psim import streaming_sim
 
 
 def small_config(**overrides):
@@ -123,6 +124,24 @@ class TestEconomicEffects:
         # Everyone can afford ~1000 chunks, so continuity should not be
         # limited by wealth.
         assert float(np.mean(result.continuity)) > 0.4
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the budget check's 1e-12 tolerance lets a buyer "
+        "overspend by a rounding error when prices are not exact binary fractions",
+    )
+    def test_fractional_prices_keep_balances_non_negative(self):
+        prices = {peer: (0.1, 0.3, 0.7)[peer % 3] for peer in range(10)}
+        config = small_config(
+            num_peers=10, initial_credits=2.0, horizon=60.0, topology_mean_degree=4.0,
+            pricing=PerPeerFlatPricing(prices), sample_interval=1000.0, seed=0,
+        )
+        simulator = StreamingMarketSimulator(config)
+        lowest = np.inf
+        for _ in range(simulator.total_rounds()):
+            simulator.advance_rounds(1)
+            lowest = min(lowest, float(simulator._balance[simulator._alive].min()))
+        assert lowest >= 0.0
 
     def test_broke_peers_cannot_download(self):
         # Expensive chunks and almost no credits: the chunk trade collapses.
@@ -289,3 +308,82 @@ class TestKernelParity:
         )
         assert vectorized.final_wealths.tobytes() == loop.final_wealths.tobytes()
         assert vectorized.chunks_delivered == loop.chunks_delivered
+
+
+def reference_suppliers(have, price_win, uploads_total, row_start, edge_dst,
+                        cand_rows, cand_cols, cand_u, choice, sel):
+    """Per-cell supplier choice by the loop kernel's rule (test oracle)."""
+    chosen = np.zeros(sel.size, dtype=np.int64)
+    resolved = np.zeros(sel.size, dtype=bool)
+    for out, cell in enumerate(sel):
+        row, col = int(cand_rows[cell]), int(cand_cols[cell])
+        neighbors = edge_dst[row_start[row] : row_start[row + 1]]
+        eligible = [int(s) for s in neighbors if have[s, col]]
+        if not eligible:
+            continue
+        if choice == "availability":
+            ties = eligible
+        else:
+            table = uploads_total if choice == "least-loaded" else price_win[:, col]
+            best = min(float(table[s]) for s in eligible)
+            ties = [s for s in eligible if float(table[s]) <= best + streaming_sim._EPS]
+        pick = min(int(float(cand_u[cell]) * len(ties)), len(ties) - 1)
+        chosen[out] = ties[pick]
+        resolved[out] = True
+    return chosen, resolved
+
+
+def resolution_inputs(index_dtype, float_dtype, seed=3):
+    """A small swarm with one hub whose segment outgrows small blocks."""
+    rng = np.random.default_rng(seed)
+    capacity, width = 48, 6
+    degrees = np.array([30, 1, 3, 5, 2, 7, 4, 1, 6, 2])
+    rows = [np.sort(rng.choice(capacity, size=d, replace=False)) for d in degrees]
+    row_start = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=row_start[1:])
+    have = rng.random((capacity, width)) < 0.45
+    # Few distinct loads and prices, so ties are common.
+    price_win = rng.choice([1.0, 1.5, 2.0], size=(capacity, width)).astype(float_dtype)
+    uploads_total = rng.integers(0, 3, size=capacity).astype(float_dtype)
+    cand_rows = np.repeat(np.arange(degrees.size), 4)
+    cand_cols = rng.integers(0, width, size=cand_rows.size)
+    cand_u = rng.random(cand_rows.size)
+    cand_u[::5] = np.nextafter(1.0, 0.0)  # picks the last tie
+    return (
+        have, price_win, uploads_total, row_start,
+        np.concatenate(rows).astype(index_dtype),
+        cand_rows, cand_cols, cand_u, degrees[cand_rows],
+    )
+
+
+class TestSupplierResolutionBlocking:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("choice", ["availability", "least-loaded", "cheapest"])
+    @pytest.mark.parametrize("dtypes", [(np.int64, np.float64), (np.int32, np.float32)])
+    def test_any_block_size_matches_per_cell_reference(
+        self, monkeypatch, block, choice, dtypes
+    ):
+        monkeypatch.setattr(streaming_sim, "_EDGE_BLOCK", block)
+        inputs = resolution_inputs(*dtypes)
+        have, price_win, uploads_total, row_start, edge_dst = inputs[:5]
+        cand_rows, cand_cols, cand_u, seg_len = inputs[5:]
+        assert seg_len.max() > 7  # the hub's segment spans several blocks
+        everything = np.arange(cand_rows.size)
+        subset = everything[(everything % 3) != 1]
+        empty = np.empty(0, dtype=np.int64)
+        outcomes = {}
+        for name, sel in (("all", everything), ("subset", subset), ("empty", empty)):
+            chosen, resolved = streaming_sim._choose_suppliers_for_cells(
+                *inputs, choice, sel
+            )
+            expected_chosen, expected_resolved = reference_suppliers(
+                have, price_win, uploads_total, row_start, edge_dst,
+                cand_rows, cand_cols, cand_u, choice, sel,
+            )
+            assert chosen.dtype == np.int64 and resolved.dtype == bool
+            assert resolved.tolist() == expected_resolved.tolist()
+            assert chosen.tolist() == expected_chosen.tolist()
+            outcomes[name] = resolved
+        assert outcomes["empty"].size == 0
+        # Both outcomes occur: resolved cells and cells with no holder.
+        assert 0 < outcomes["all"].sum() < everything.size

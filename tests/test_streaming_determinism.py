@@ -8,7 +8,7 @@ at every layer:
 * simulator — the ``loop`` and ``vectorized`` scheduling kernels, fed the
   same configuration, must end in byte-identical
   :class:`StreamingSimResult`\\ s (static, churned, heterogeneously priced
-  and taxed swarms);
+  and taxed swarms, plus random small swarms drawn by Hypothesis);
 * partition — a streaming run split into checkpointed round-blocks must
   be byte-identical to the monolithic run (churn-event state included);
 * orchestrator — the streaming-backed fig5_6/fig11 smoke scenarios must
@@ -20,8 +20,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.pricing import PerPeerFlatPricing
+from repro.core.pricing import (
+    AuctionPricing,
+    LinearPricing,
+    PerPeerFlatPricing,
+    PoissonPricing,
+    UniformPricing,
+)
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
@@ -126,6 +134,77 @@ class TestStreamingKernelEquivalence:
             dataclasses.replace(config, options=KernelOptions(kernel="loop"))
         )
         assert fingerprint(vectorized) == fingerprint(loop)
+
+
+#: Fresh pricing scheme per run: Poisson, linear and auction pricing carry
+#: state (memoised draws, per-round purchase counts, reservation prices).
+#: Flat, Poisson and linear prices are dyadic, so budgets stay exact: with
+#: prices such as 0.1 a balance can end a tick slightly below zero (a known
+#: defect pinned by ``test_fractional_prices_keep_balances_non_negative``),
+#: and the recorder then rejects the sample in both kernels alike.
+PRICING = {
+    "uniform": lambda: UniformPricing(),
+    "per-peer": lambda: PerPeerFlatPricing({peer: float(peer % 3) for peer in range(40)}),
+    "poisson": lambda: PoissonPricing(mean_price=2.0, seed=5),
+    "linear": lambda: LinearPricing(base_price=1.0, increment=0.25),
+    "auction": lambda: AuctionPricing(seed=7),
+}
+
+random_streaming_setups = st.fixed_dictionaries(
+    {
+        "supplier_choice": st.sampled_from(["availability", "least-loaded", "cheapest"]),
+        "dtype": st.sampled_from(["float64", "float32"]),
+        "pricing": st.sampled_from(sorted(PRICING)),
+        "churn": st.booleans(),
+        "max_requests_per_round": st.integers(1, 5),
+        "upload_capacity": st.integers(1, 4),
+        "playback_window": st.integers(1, 12),
+        "num_peers": st.integers(6, 24),
+        "initial_credits": st.sampled_from([2.0, 8.0, 40.0]),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+def end_state(setup, kernel):
+    """Run one drawn setup on ``kernel``; return its result and raw state."""
+    config = StreamingSimConfig(
+        num_peers=setup["num_peers"],
+        initial_credits=setup["initial_credits"],
+        horizon=30.0,
+        topology_mean_degree=4.0,
+        sample_interval=10.0,
+        max_requests_per_round=setup["max_requests_per_round"],
+        upload_capacity=setup["upload_capacity"],
+        playback_window=setup["playback_window"],
+        supplier_choice=setup["supplier_choice"],
+        pricing=PRICING[setup["pricing"]](),
+        churn=ChurnConfig(arrival_rate=0.3, mean_lifespan=20.0) if setup["churn"] else None,
+        options=KernelOptions(kernel=kernel, dtype=setup["dtype"]),
+        seed=setup["seed"],
+    )
+    simulator = StreamingMarketSimulator(config)
+    result = simulator.run()
+    state = tuple(
+        array.tobytes()
+        for array in (
+            simulator._alive, simulator._balance, simulator._have,
+            simulator._uploads_total, simulator._played, simulator._missed,
+        )
+    )
+    return fingerprint(result), state
+
+
+class TestStreamingKernelDifferential:
+    """Loop ≡ vectorized on random small swarms, beyond the hand-picked cases.
+
+    Derandomized, so every run of the suite draws the same examples.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(setup=random_streaming_setups)
+    def test_kernels_end_in_byte_identical_states(self, setup):
+        assert end_state(setup, "vectorized") == end_state(setup, "loop")
 
 
 class TestStreamingPartitionEquivalence:
