@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.obs import MemorySink, MetricsEmitter, use_emitter
 from repro.p2psim import CreditMarketSimulator, KernelOptions, MarketSimConfig, UtilizationMode
+from repro.runner import ExecutionPlan
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_simkernel.json"
 
@@ -93,13 +94,7 @@ REPEATS = {"loop": 1, "vectorized": 3}
 TELEMETRY_REPEATS = 7
 
 
-def _config(
-    num_peers: int, rounds: int, kernel: str, shards: int | None = None
-) -> MarketSimConfig:
-    if shards is None:
-        options = KernelOptions(kernel=kernel)
-    else:
-        options = KernelOptions(kernel=kernel, shards=shards, shard_backend="thread")
+def _config(num_peers: int, rounds: int, kernel: str) -> MarketSimConfig:
     return MarketSimConfig(
         num_peers=num_peers,
         initial_credits=100.0,
@@ -107,7 +102,7 @@ def _config(
         step=1.0,
         utilization=UtilizationMode.ASYMMETRIC,
         sample_interval=float(rounds),  # one warm-up sample, one final
-        options=options,
+        options=KernelOptions(kernel=kernel),
         seed=1,
     )
 
@@ -135,7 +130,8 @@ def _telemetry_scope():
 def _timed_run(
     num_peers: int, rounds: int, kernel: str, scope, shards: int | None = None
 ) -> dict:
-    simulator = CreditMarketSimulator(_config(num_peers, rounds, kernel, shards))
+    plan = None if shards is None else ExecutionPlan(shards=shards, shard_backend="thread")
+    simulator = CreditMarketSimulator(_config(num_peers, rounds, kernel), plan=plan)
     with scope:
         started = time.perf_counter()
         simulator.advance_rounds(rounds)

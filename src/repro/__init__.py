@@ -4,7 +4,7 @@ Peer-to-Peer Content Distribution" (Qiu, Huang, Wu, Li, Lau — ICDCSW 2012).
 The package models credit-based P2P content distribution markets, maps them
 onto Jackson queueing networks (Table I of the paper), analyses wealth
 condensation (Lemma 1, Theorems 2–3, Eqs. 3–9) and reproduces the paper's
-simulation study with a discrete-event mesh-pull streaming simulator and a
+simulation study with a chunk-level mesh-pull streaming simulator and a
 transaction-level market simulator.
 
 Quickstart
@@ -24,12 +24,15 @@ Subpackages
 ``repro.queueing``
     Jackson queueing-network analytics (traffic equations, closed/open
     networks, Buzen convolution, MVA, the paper's approximations).
-``repro.simulation`` / ``repro.overlay`` / ``repro.streaming``
-    Discrete-event engine, overlay topologies with churn, and the mesh-pull
-    streaming protocol substrate.
+``repro.overlay``
+    Overlay topologies, tracker-style membership and churn parameters.
 ``repro.p2psim``
     The integrated credit-incentivized P2P simulators (chunk-level and
-    transaction-level).
+    transaction-level), both round-based.
+``repro.runner``
+    Parameter sweeps with an artifact cache, and
+    :class:`~repro.runner.plan.ExecutionPlan`, the one place that says how
+    a simulation executes (round-blocks and spatial shards).
 ``repro.baselines``
     Scrip-system, credit-network, tit-for-tat and money-exchange baselines.
 ``repro.experiments``

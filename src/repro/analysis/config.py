@@ -131,9 +131,7 @@ def _scopes() -> Dict[str, Scope]:
                 "repro/p2psim/",
                 "repro/core/",
                 "repro/overlay/",
-                "repro/streaming/",
                 "repro/workloads/",
-                "repro/simulation/",
                 "repro/baselines/",
             )
         ),
@@ -212,16 +210,6 @@ def _allowed() -> Dict[str, Tuple[AllowedContext, ...]]:
             ),
         ),
         "SEED001": (
-            AllowedContext(
-                path="repro/streaming/scheduler.py",
-                qualname="ChunkScheduler.__init__",
-                reason=(
-                    "interactive-use fallback when no generator is injected; "
-                    "every simulation path constructs schedulers with an rng "
-                    "derived via make_rng, so the unseeded default never "
-                    "feeds a recorded result"
-                ),
-            ),
             AllowedContext(
                 path="repro/queueing/closed.py",
                 qualname="ClosedJacksonNetwork.sample_occupancy",

@@ -82,7 +82,8 @@ from typing import List, Optional
 
 from repro.experiments import describe_experiments, run_experiment
 from repro.experiments.common import Scale
-from repro.p2psim.options import DTYPES, KERNELS, PARTITIONERS, SHARD_BACKENDS
+from repro.p2psim.options import DTYPES, KERNELS
+from repro.runner.shard import PARTITIONERS, SHARD_BACKENDS
 
 __all__ = ["build_parser", "main"]
 
@@ -181,29 +182,26 @@ def _kernel_axes(args: argparse.Namespace) -> dict:
 
 def _execution_plan(args: argparse.Namespace):
     """Build the :class:`~repro.runner.plan.ExecutionPlan` a parsed ``run``/
-    ``sweep`` invocation implies.
+    ``sweep``/``serve`` invocation implies.
 
-    Raises ``ValueError`` for invalid combinations (notably ``--shards``
-    above 1 with the per-peer ``--kernel loop``, which has no shardable
-    kernel sections) so the CLI reports them before any simulation work.
+    Unset flags keep the plan's defaults.  Raises ``ValueError`` for
+    invalid combinations (notably ``--shards`` above 1 with the per-peer
+    ``--kernel loop``, which has no shardable kernel sections) so the CLI
+    reports them before any simulation work.
     """
     from repro.runner import ExecutionPlan
 
-    if (
-        args.shards is not None
-        and args.shards > 1
-        and getattr(args, "kernel", None) == "loop"
-    ):
+    knobs = {
+        name: getattr(args, name)
+        for name in ("shards", "partitioner", "shard_backend")
+        if getattr(args, name, None) is not None
+    }
+    if knobs.get("shards", 1) > 1 and getattr(args, "kernel", None) == "loop":
         raise ValueError(
             "--shards > 1 requires the vectorized kernel; "
             "the per-peer loop kernel has no shardable sections"
         )
-    return ExecutionPlan(
-        intra_jobs=args.intra_jobs,
-        shards=args.shards,
-        partitioner=args.partitioner,
-        shard_backend=args.shard_backend,
-    )
+    return ExecutionPlan(intra_jobs=args.intra_jobs, **knobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,13 +464,13 @@ def _command_run(args: argparse.Namespace) -> int:
             args.experiment, args.scale, args.seed, args.reps, args.jobs,
             plan, args.cache_dir, args.csv, kernel_axes=axes,
         )
-    from repro.runner import shard_overrides
+    from repro.runner import running
 
     try:
-        # The plan's spatial shard settings apply ambiently: they stay out
-        # of the experiment configuration, so a sharded direct run prints
+        # The plan is installed as the execution context: it stays out of
+        # the experiment configuration, so a sharded direct run prints
         # byte-identical tables to the monolithic one.
-        with shard_overrides(**plan.shard_override_kwargs()):
+        with running(plan):
             if axes:
                 # Route through the point runner, which accepts the kernel
                 # and dtype axes (validated first, so non-simulator
@@ -596,14 +594,16 @@ def _command_analyze(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.obs.server import serve
 
+    try:
+        plan = _execution_plan(args)
+    except ValueError as error:
+        return _print_error(error)
     serve(
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        intra_jobs=args.intra_jobs,
-        shards=args.shards,
-        partitioner=args.partitioner,
+        plan=plan,
         bench_root=args.bench_root,
     )
     return 0

@@ -23,10 +23,11 @@ Endpoints
     "intra_jobs": 1, "shards": 4, "partitioner": "overlay",
     "shard_backend": "thread"}`` — ``target`` is a sweepable experiment
     id or a named scenario bundle; everything else is optional.  The
-    spatial shard keys apply ambiently (results and cache keys are
-    identical to unsharded jobs); invalid values are rejected with
-    ``400`` at submission.  Returns ``201`` with the job description
-    (including its ``id``).
+    execution keys (``intra_jobs`` and the spatial shard keys) form the
+    job's :class:`~repro.runner.plan.ExecutionPlan`, over the daemon's
+    own defaults (results and cache keys are identical to a monolithic
+    job); invalid values are rejected with ``400`` at submission.
+    Returns ``201`` with the job description (including its ``id``).
 ``GET  /runs/<id>``
     One job's description: status (``pending/running/done/failed``),
     spec summary, executed/cached shard counts, error text on failure.
@@ -51,6 +52,7 @@ statistics are always emitted from the scheduling thread.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import re
@@ -58,7 +60,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.obs.bench import load_bench_history
 from repro.obs.emitter import MetricsEmitter, use_emitter
@@ -68,7 +70,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runner.grid import SweepSpec
     from repro.runner.plan import ExecutionPlan
 
-__all__ = ["SweepJob", "SweepService", "ReproServer", "spec_from_request", "serve"]
+__all__ = [
+    "SweepJob",
+    "SweepService",
+    "ReproServer",
+    "plan_from_request",
+    "spec_from_request",
+    "serve",
+]
 
 
 def spec_from_request(payload: Mapping[str, object]) -> "SweepSpec":
@@ -104,45 +113,48 @@ def spec_from_request(payload: Mapping[str, object]) -> "SweepSpec":
     )
 
 
-def _plan_for(
-    intra_jobs: int,
-    shards: Optional[int],
-    partitioner: Optional[str],
-    shard_backend: Optional[str],
-) -> "ExecutionPlan":
-    """Validated :class:`~repro.runner.plan.ExecutionPlan` for a job's knobs."""
-    from repro.runner import ExecutionPlan
+#: Execution-plan fields a job request may set, each with its JSON coercion.
+_PLAN_FIELDS: Dict[str, Callable[[Any], object]] = {
+    "intra_jobs": int,
+    "shards": int,
+    "partitioner": str,
+    "shard_backend": str,
+}
 
-    return ExecutionPlan(
-        intra_jobs=intra_jobs,
-        shards=shards,
-        partitioner=partitioner,
-        shard_backend=shard_backend,
-    )
+
+def plan_from_request(
+    payload: Mapping[str, object], default: "ExecutionPlan"
+) -> "ExecutionPlan":
+    """The validated :class:`~repro.runner.plan.ExecutionPlan` of a job request.
+
+    Request keys named after plan fields override ``default`` (the
+    daemon's own plan); absent or ``null`` keys inherit it.  Invalid
+    values raise ``ValueError`` — surfaced to the client as a 400.
+    """
+    updates = {
+        name: coerce(payload[name])
+        for name, coerce in _PLAN_FIELDS.items()
+        if payload.get(name) is not None
+    }
+    return dataclasses.replace(default, **updates)
 
 
 class SweepJob:
-    """One submitted sweep job: spec, scheduling knobs, live metrics, result."""
+    """One submitted sweep job: spec, execution plan, live metrics, result."""
 
     def __init__(
         self,
         job_id: str,
         spec: "SweepSpec",
         jobs: int,
-        intra_jobs: int,
+        plan: "ExecutionPlan",
         cache_dir: Optional[str],
-        shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
-        shard_backend: Optional[str] = None,
     ) -> None:
         self.id = job_id
         self.spec = spec
         self.jobs = jobs
-        self.intra_jobs = intra_jobs
+        self.plan = plan
         self.cache_dir = cache_dir
-        self.shards = shards
-        self.partitioner = partitioner
-        self.shard_backend = shard_backend
         self.status = "pending"
         self.error: Optional[str] = None
         self.submitted = time.time()
@@ -160,10 +172,7 @@ class SweepJob:
             "experiment_id": self.spec.experiment_id,
             "status": self.status,
             "jobs": self.jobs,
-            "intra_jobs": self.intra_jobs,
-            "shards": self.shards,
-            "partitioner": self.partitioner,
-            "shard_backend": self.shard_backend,
+            **{name: getattr(self.plan, name) for name in _PLAN_FIELDS},
             "cache_dir": self.cache_dir,
             "submitted": self.submitted,
             "started": self.started,
@@ -183,15 +192,13 @@ class SweepService:
         self,
         cache_dir: Optional[str] = None,
         default_jobs: int = 1,
-        default_intra_jobs: int = 1,
-        default_shards: Optional[int] = None,
-        default_partitioner: Optional[str] = None,
+        default_plan: Optional["ExecutionPlan"] = None,
     ) -> None:
+        from repro.runner.plan import ExecutionPlan
+
         self.cache_dir = cache_dir
         self.default_jobs = default_jobs
-        self.default_intra_jobs = default_intra_jobs
-        self.default_shards = default_shards
-        self.default_partitioner = default_partitioner
+        self.default_plan = default_plan if default_plan is not None else ExecutionPlan()
         self._jobs: Dict[str, SweepJob] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
@@ -202,31 +209,17 @@ class SweepService:
         """Validate a job request, register it and start its worker thread."""
         spec = spec_from_request(payload)
         jobs = int(payload.get("jobs", self.default_jobs))  # type: ignore[arg-type]
-        intra_jobs = int(payload.get("intra_jobs", self.default_intra_jobs))  # type: ignore[arg-type]
         cache_dir = payload.get("cache_dir", self.cache_dir)
-        raw_shards = payload.get("shards", self.default_shards)
-        shards = int(raw_shards) if raw_shards is not None else None  # type: ignore[arg-type]
-        partitioner = payload.get("partitioner", self.default_partitioner)
-        shard_backend = payload.get("shard_backend")
-        # Building the plan up front validates the spatial shard settings at
-        # submission time, so a bad request 400s instead of failing its
-        # worker thread later.
-        _plan_for(
-            intra_jobs,
-            shards,
-            str(partitioner) if partitioner is not None else None,
-            str(shard_backend) if shard_backend is not None else None,
-        )
+        # Building the plan up front validates it at submission time, so a
+        # bad request 400s instead of failing its worker thread later.
+        plan = plan_from_request(payload, self.default_plan)
         with self._lock:
             job = SweepJob(
                 f"run-{next(self._ids):04d}",
                 spec,
                 jobs=jobs,
-                intra_jobs=intra_jobs,
+                plan=plan,
                 cache_dir=str(cache_dir) if cache_dir else None,
-                shards=shards,
-                partitioner=str(partitioner) if partitioner is not None else None,
-                shard_backend=str(shard_backend) if shard_backend is not None else None,
             )
             self._jobs[job.id] = job
             self._order.append(job.id)
@@ -267,9 +260,7 @@ class SweepService:
                     job.spec,  # type: ignore[arg-type]
                     jobs=job.jobs,
                     cache=cache,
-                    plan=_plan_for(
-                        job.intra_jobs, job.shards, job.partitioner, job.shard_backend
-                    ),
+                    plan=job.plan,
                 )
             job.payloads = [shard.payload for shard in report.shards]
             job.summary = {
@@ -402,19 +393,11 @@ class ReproServer(ThreadingHTTPServer):
         port: int = 8765,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        intra_jobs: int = 1,
-        shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
+        plan: Optional["ExecutionPlan"] = None,
         bench_root: Optional[str] = None,
     ) -> None:
         super().__init__((host, port), _Handler)
-        self.service = SweepService(
-            cache_dir=cache_dir,
-            default_jobs=jobs,
-            default_intra_jobs=intra_jobs,
-            default_shards=shards,
-            default_partitioner=partitioner,
-        )
+        self.service = SweepService(cache_dir=cache_dir, default_jobs=jobs, default_plan=plan)
         self.bench_root = Path(bench_root) if bench_root else None
 
     @property
@@ -428,9 +411,7 @@ def serve(
     port: int = 8765,
     cache_dir: Optional[str] = None,
     jobs: int = 1,
-    intra_jobs: int = 1,
-    shards: Optional[int] = None,
-    partitioner: Optional[str] = None,
+    plan: Optional["ExecutionPlan"] = None,
     bench_root: Optional[str] = None,
 ) -> int:
     """Run the daemon until interrupted or shut down over HTTP (CLI entry)."""
@@ -439,9 +420,7 @@ def serve(
         port=port,
         cache_dir=cache_dir,
         jobs=jobs,
-        intra_jobs=intra_jobs,
-        shards=shards,
-        partitioner=partitioner,
+        plan=plan,
         bench_root=bench_root,
     )
     print(f"repro serve listening on http://{host}:{server.port}", flush=True)

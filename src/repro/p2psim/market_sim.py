@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from repro.queueing.routing import RoutingMatrix
 from repro.queueing.traffic import solve_traffic_equations
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_index_capacity
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.runner.plan import ExecutionPlan
 
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
 
@@ -177,6 +180,10 @@ class CreditMarketSimulator:
         shape/mean degree is generated when omitted.
     snapshot_times:
         Simulation times at which sorted wealth snapshots are kept.
+    plan:
+        How the run executes (:class:`~repro.runner.plan.ExecutionPlan`:
+        spatial shards); ``None`` runs monolithically.  Any plan gives
+        byte-identical results.
     """
 
     def __init__(
@@ -184,6 +191,7 @@ class CreditMarketSimulator:
         config: MarketSimConfig,
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
+        plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self.config = config
         self._rng = make_rng(config.seed, "market-sim")
@@ -207,17 +215,15 @@ class CreditMarketSimulator:
         )
 
         # --- spatial sharding ------------------------------------------------------
-        # Execution-level knobs: the ambient overrides installed by the
-        # runner (if any) win over the config's options, and a plan is only
-        # built when actually sharding.  Lazy import, mirroring run_config.
-        from repro.runner.shard import plan_shards, resolve_shard_settings
+        # Execution knobs come from the plan alone, and a shard plan is only
+        # built when actually sharding.  Lazy imports, mirroring run_config.
+        from repro.runner.plan import ExecutionPlan
+        from repro.runner.shard import shard_plan_for
 
+        plan = plan if plan is not None else ExecutionPlan()
         options = config.options
-        shards, partitioner, shard_backend = resolve_shard_settings(options)
-        self._shard_backend = shard_backend
-        self._shard_plan = (
-            plan_shards(self.topology, shards, partitioner) if shards > 1 else None
-        )
+        self._shard_backend = plan.shard_backend
+        self._shard_plan = shard_plan_for(plan, options.kernel, self.topology)
 
         # --- slot-based peer state -------------------------------------------------
         float_dtype = options.float_dtype
@@ -729,17 +735,20 @@ class CreditMarketSimulator:
     ) -> MarketSimResult:
         """Build a simulator for ``config`` and run it to completion.
 
-        When an intra-run partition context is active (see
-        :mod:`repro.runner.partition`), the run executes as checkpointed
-        round-blocks through that context instead — producing bit-identical
-        results, since block boundaries only pickle/unpickle the state the
-        monolithic loop would carry anyway.
+        The run executes under the ambient execution context (see
+        :func:`repro.runner.partition.running`): its
+        :class:`~repro.runner.plan.ExecutionPlan` reaches the constructor,
+        and when a :class:`~repro.runner.partition.BlockContext` is active
+        the run executes as checkpointed round-blocks through it —
+        producing bit-identical results, since block boundaries only
+        pickle/unpickle the state the monolithic loop would carry anyway.
         """
-        from repro.runner.partition import active_context
+        from repro.runner.partition import active_context, active_plan
 
+        build = functools.partial(cls, plan=active_plan())
         context = active_context()
         if context is not None:
             return context.run_simulation(
-                cls, config, topology=topology, snapshot_times=snapshot_times
+                build, config, topology=topology, snapshot_times=snapshot_times
             )
-        return cls(config, topology=topology, snapshot_times=snapshot_times).run()
+        return build(config, topology=topology, snapshot_times=snapshot_times).run()

@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,9 @@ from repro.p2psim.recorder import WealthRecorder
 from repro.p2psim.slots import apply_income_taxation, apply_round_churn
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_index_capacity
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.runner.plan import ExecutionPlan
 
 __all__ = ["StreamingSimResult", "StreamingMarketSimulator"]
 
@@ -275,6 +278,10 @@ class StreamingMarketSimulator:
     seed_fanout:
         Override of ``config.seed_fanout`` (number of random peers that
         receive each freshly emitted chunk for free).
+    plan:
+        How the run executes (:class:`~repro.runner.plan.ExecutionPlan`:
+        spatial shards); ``None`` runs monolithically.  Any plan gives
+        byte-identical results.
     """
 
     def __init__(
@@ -283,6 +290,7 @@ class StreamingMarketSimulator:
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
         seed_fanout: Optional[int] = None,
+        plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self.config = config
         self._rng = make_rng(config.seed, "streaming-sim")
@@ -315,17 +323,15 @@ class StreamingMarketSimulator:
         self._emitted = 0
 
         # --- spatial sharding ------------------------------------------------------
-        # Execution-level knobs: the ambient overrides installed by the
-        # runner (if any) win over the config's options, and a plan is only
-        # built when actually sharding.  Lazy import, mirroring run_config.
-        from repro.runner.shard import plan_shards, resolve_shard_settings
+        # Execution knobs come from the plan alone, and a shard plan is only
+        # built when actually sharding.  Lazy imports, mirroring run_config.
+        from repro.runner.plan import ExecutionPlan
+        from repro.runner.shard import shard_plan_for
 
+        plan = plan if plan is not None else ExecutionPlan()
         options = config.options
-        shards, partitioner, shard_backend = resolve_shard_settings(options)
-        self._shard_backend = shard_backend
-        self._shard_plan = (
-            plan_shards(self.topology, shards, partitioner) if shards > 1 else None
-        )
+        self._shard_backend = plan.shard_backend
+        self._shard_plan = shard_plan_for(plan, options.kernel, self.topology)
 
         # --- slot-based peer state -------------------------------------------------
         float_dtype = options.float_dtype
@@ -1175,17 +1181,20 @@ class StreamingMarketSimulator:
     ) -> StreamingSimResult:
         """Build a simulator for ``config`` and run it to completion.
 
-        When an intra-run partition context is active (see
-        :mod:`repro.runner.partition`), the run executes as checkpointed
-        round-blocks through that context instead — producing bit-identical
-        results, since block boundaries only pickle/unpickle the state the
-        monolithic loop would carry anyway.
+        The run executes under the ambient execution context (see
+        :func:`repro.runner.partition.running`): its
+        :class:`~repro.runner.plan.ExecutionPlan` reaches the constructor,
+        and when a :class:`~repro.runner.partition.BlockContext` is active
+        the run executes as checkpointed round-blocks through it —
+        producing bit-identical results, since block boundaries only
+        pickle/unpickle the state the monolithic loop would carry anyway.
         """
-        from repro.runner.partition import active_context
+        from repro.runner.partition import active_context, active_plan
 
+        build = functools.partial(cls, plan=active_plan())
         context = active_context()
         if context is not None:
             return context.run_simulation(
-                cls, config, topology=topology, snapshot_times=snapshot_times
+                build, config, topology=topology, snapshot_times=snapshot_times
             )
-        return cls(config, topology=topology, snapshot_times=snapshot_times).run()
+        return build(config, topology=topology, snapshot_times=snapshot_times).run()

@@ -20,14 +20,15 @@ into declarative, cache-aware, parallel parameter sweeps:
   paper-scale market simulation executes as checkpointed round-blocks
   (``--intra-jobs``) that pipeline across the worker pool and resume
   interrupted runs at block granularity, bit-identical to the monolithic
-  run;
+  run; it also holds the ambient execution context (:func:`running`)
+  through which the simulators receive their plan;
 * :mod:`repro.runner.shard` — spatial peer-space sharding:
   :func:`plan_shards` partitions the overlay into balanced,
   edge-cut-minimising shards and the simulators execute each shard's
   kernel section concurrently, byte-identical to the monolithic round;
-* :mod:`repro.runner.plan` — the unified :class:`ExecutionPlan` /
-  :func:`execute` entry point behind which temporal blocks, spatial
-  shards and kernel options compose.
+* :mod:`repro.runner.plan` — :class:`ExecutionPlan`, the one home of
+  every execution knob, and the :func:`execute` entry point behind which
+  temporal blocks and spatial shards compose.
 
 Determinism contract
 --------------------
@@ -65,15 +66,13 @@ from repro.runner.partition import (
     CheckpointStore,
     OutOfBlockBudget,
     round_blocks,
-    run_market_partitioned,
-    run_streaming_partitioned,
+    running,
 )
 from repro.runner.plan import ExecutionPlan, execute
 from repro.runner.shard import (
     ShardPlan,
     plan_shards,
     run_shard_tasks,
-    shard_overrides,
 )
 
 __all__ = [
@@ -101,11 +100,9 @@ __all__ = [
     "plan_shards",
     "result_to_payload",
     "round_blocks",
-    "run_market_partitioned",
     "run_shard_tasks",
-    "run_streaming_partitioned",
     "run_sweep",
+    "running",
     "scenario",
-    "shard_overrides",
     "task_key",
 ]

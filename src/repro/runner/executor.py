@@ -6,13 +6,13 @@ the :class:`~repro.runner.cache.ArtifactCache`, executes the remainder —
 in-process at ``jobs=1``, on a ``ProcessPoolExecutor`` otherwise — and
 returns the shards in deterministic ``(config_index, replication)`` order.
 
-With ``intra_jobs > 1`` each shard additionally executes as a *chain* of
-round-block invocations (see :mod:`repro.runner.partition`): every pool
-task advances one checkpointed block of one shard's market simulation, so
-blocks of different shards pipeline across the workers and an interrupted
-paper-scale run resumes from its last completed block.  Partitioned and
-monolithic execution produce byte-identical shard payloads and share the
-same artifact-cache keys.
+With ``plan.intra_jobs > 1`` each shard additionally executes as a
+*chain* of round-block invocations (see :mod:`repro.runner.partition`):
+every pool task advances one checkpointed block of one shard's
+simulation, so blocks of different shards pipeline across the workers and
+an interrupted paper-scale run resumes from its last completed block.
+Partitioned and monolithic execution produce byte-identical shard
+payloads and share the same artifact-cache keys.
 
 Determinism contract
 --------------------
@@ -46,9 +46,8 @@ from repro.experiments.registry import run_sweep_point
 from repro.obs import get_emitter
 from repro.runner.cache import ArtifactCache, code_fingerprint, payload_to_result, result_to_payload, task_key
 from repro.runner.grid import SweepSpec, SweepTask
-from repro.runner.partition import BlockContext, CheckpointStore, OutOfBlockBudget
+from repro.runner.partition import BlockContext, CheckpointStore, OutOfBlockBudget, running
 from repro.runner.plan import ExecutionPlan
-from repro.runner.shard import shard_overrides
 
 __all__ = ["ShardResult", "SweepReport", "run_sweep", "default_jobs"]
 
@@ -89,8 +88,8 @@ class SweepReport:
         Round-blocks each shard's market simulations were split into
         (``1`` = monolithic shards).
     plan:
-        The :class:`~repro.runner.plan.ExecutionPlan` applied to every
-        shard (``None`` when the sweep ran with plain arguments).
+        The :class:`~repro.runner.plan.ExecutionPlan` passed to
+        :func:`run_sweep` (``None`` when none was given).
     duration:
         Wall-clock seconds spent inside :func:`run_sweep`.
     cache_stats:
@@ -124,7 +123,7 @@ class SweepReport:
         """One-line human summary of what ran and what was reused."""
         intra = f", intra_jobs={self.intra_jobs}" if self.intra_jobs > 1 else ""
         spatial = ""
-        if self.plan is not None and (self.plan.shards or 1) > 1:
+        if self.plan is not None and self.plan.shards > 1:
             spatial = f", shards={self.plan.shards}"
         return (
             f"{self.spec.describe()} — {self.executed} executed, "
@@ -149,23 +148,19 @@ class SweepReport:
         )
 
 
-def _execute_task(
-    payload: Mapping[str, object],
-    shard_settings: Optional[Mapping[str, object]] = None,
-) -> Dict[str, object]:
+def _execute_task(payload: Mapping[str, object], plan: ExecutionPlan) -> Dict[str, object]:
     """Worker entry point: run one shard and return its JSON-safe payload.
 
-    Module-level so it pickles cleanly into pool workers; takes and
-    returns plain dicts so no library object crosses the process
-    boundary.  ``shard_settings`` (spatial shard count / partitioner /
-    backend) travel as an explicit argument for the same reason: the
-    ambient :func:`~repro.runner.shard.shard_overrides` context does not
-    cross process boundaries, so each worker re-installs it around its
-    point runner.  The settings never enter ``task.config`` and therefore
-    never perturb cache keys or results.
+    Module-level so it pickles cleanly into pool workers; the task travels
+    and returns as plain dicts, the plan as the frozen dataclass it is.
+    The ambient execution context does not cross process boundaries, so
+    each worker installs the plan with
+    :func:`~repro.runner.partition.running` around its point runner.  The
+    plan never enters ``task.config`` and therefore never perturbs cache
+    keys or results.
     """
     task = SweepTask.from_payload(payload)
-    with shard_overrides(**dict(shard_settings or {})):
+    with running(plan):
         result = run_sweep_point(
             task.experiment_id, dict(task.config), scale=task.scale, seed=task.seed
         )
@@ -174,27 +169,29 @@ def _execute_task(
 
 def _execute_chain_step(
     payload: Mapping[str, object],
-    blocks: int,
+    plan: ExecutionPlan,
     store_root: str,
     budget: Optional[int] = 1,
-    shard_settings: Optional[Mapping[str, object]] = None,
 ) -> Optional[Dict[str, object]]:
     """Worker entry point for one round-block invocation of a shard chain.
 
-    Installs a :class:`BlockContext` with a budget of ``budget`` new
-    blocks and re-enters the shard's point runner: completed simulations
-    restore from their checkpoints for free, unfinished ones advance up
-    to the budget (checkpointing each block), and the invocation either
-    finishes the experiment (returning its payload) or runs out of budget
-    (returning ``None`` so the scheduler re-submits the chain).
+    Installs ``plan`` and a :class:`BlockContext` of ``plan.intra_jobs``
+    blocks with a budget of ``budget`` new blocks, and re-enters the
+    shard's point runner: completed simulations restore from their
+    checkpoints for free, unfinished ones advance up to the budget
+    (checkpointing each block), and the invocation either finishes the
+    experiment (returning its payload) or runs out of budget (returning
+    ``None`` so the scheduler re-submits the chain).
     ``budget=None`` is unlimited — the whole shard completes in one
     invocation, still checkpointing every block boundary.
     """
     task = SweepTask.from_payload(payload)
     store = CheckpointStore(store_root)
-    context = BlockContext(store, blocks=blocks, scope=task_key(task), budget=budget)
+    context = BlockContext(
+        store, blocks=plan.intra_jobs, scope=task_key(task), budget=budget
+    )
     try:
-        with shard_overrides(**dict(shard_settings or {})), context:
+        with running(plan), context:
             result = run_sweep_point(
                 task.experiment_id, dict(task.config), scale=task.scale, seed=task.seed
             )
@@ -207,10 +204,9 @@ def _run_chains(
     tasks: List[SweepTask],
     pending: List[int],
     jobs: int,
-    intra_jobs: int,
+    plan: ExecutionPlan,
     store_root: str,
     commit: Callable[[int, Dict[str, object], int], None],
-    shard_settings: Optional[Mapping[str, object]] = None,
 ) -> None:
     """Drive every pending shard through its round-block invocation chain.
 
@@ -224,8 +220,7 @@ def _run_chains(
     if jobs == 1 or len(pending) == 1:
         for count, index in enumerate(pending, start=1):
             payload = _execute_chain_step(
-                tasks[index].to_payload(), intra_jobs, store_root,
-                budget=None, shard_settings=shard_settings,
+                tasks[index].to_payload(), plan, store_root, budget=None
             )
             assert payload is not None  # unlimited budget always completes
             commit(index, payload, count)
@@ -239,8 +234,7 @@ def _run_chains(
 
         def submit(index: int) -> None:
             future = pool.submit(
-                _execute_chain_step, tasks[index].to_payload(), intra_jobs,
-                store_root, 1, shard_settings,
+                _execute_chain_step, tasks[index].to_payload(), plan, store_root
             )
             inflight[future] = index
 
@@ -274,7 +268,6 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[ArtifactCache] = None,
     progress: Optional[Callable[[str], None]] = None,
-    intra_jobs: int = 1,
     plan: Optional[ExecutionPlan] = None,
 ) -> SweepReport:
     """Execute every shard of ``spec``, reusing cached artifacts.
@@ -293,49 +286,29 @@ def run_sweep(
         so an interrupted sweep resumes where it stopped.
     progress:
         Optional callable receiving human-readable progress lines.
-    intra_jobs:
-        Round-blocks each shard's market simulations are split into.
-        ``1`` (default) runs shards monolithically; higher values execute
-        each shard as a chain of checkpointed block invocations that
-        pipeline across the worker pool and — with a persistent cache —
-        resume interrupted paper-scale runs at block granularity.  Shard
-        payloads and cache keys are identical in both modes.
     plan:
         Optional :class:`~repro.runner.plan.ExecutionPlan` applied to
-        every shard.  Its ``intra_jobs`` takes the place of the
-        ``intra_jobs`` argument (setting both to conflicting values is an
-        error), and its spatial shard settings (``shards`` /
-        ``partitioner`` / ``shard_backend``) are installed ambiently in
+        every shard (``None`` = the default, monolithic plan).  Its
+        ``intra_jobs`` is the number of round-blocks each shard's
+        simulations are split into: ``1`` runs shards monolithically;
+        higher values execute each shard as a chain of checkpointed block
+        invocations that pipeline across the worker pool and — with a
+        persistent cache — resume interrupted paper-scale runs at block
+        granularity.  The plan is installed as the execution context of
         each worker, so task configurations and cache keys stay identical
-        to an unplanned sweep.  Modelling-visible knobs have no place
-        here: ``plan.options`` (kernel/dtype selection rides as explicit
-        sweep axes) and ``plan.rounds_per_block`` (block counts are
-        per-shard via ``intra_jobs``) are rejected.
+        to an unplanned sweep.  ``plan.rounds_per_block`` is rejected:
+        block counts are per-shard via ``intra_jobs``.
     """
     started = time.perf_counter()
     if jobs <= 0:
         jobs = default_jobs()
-    if intra_jobs < 1:
-        raise ValueError("intra_jobs must be at least 1")
-    shard_settings: Optional[Dict[str, object]] = None
-    if plan is not None:
-        if plan.options is not None:
-            raise ValueError(
-                "run_sweep does not accept plan.options; sweep kernel/dtype "
-                "selection rides as explicit grid axes (see repro.cli)"
-            )
-        if plan.rounds_per_block is not None:
-            raise ValueError(
-                "run_sweep does not accept plan.rounds_per_block; "
-                "use plan.intra_jobs to split shards into round-blocks"
-            )
-        if intra_jobs > 1 and plan.intra_jobs > 1 and intra_jobs != plan.intra_jobs:
-            raise ValueError(
-                f"conflicting intra_jobs: argument says {intra_jobs}, "
-                f"plan says {plan.intra_jobs}"
-            )
-        intra_jobs = max(intra_jobs, plan.intra_jobs)
-        shard_settings = plan.shard_override_kwargs() or None
+    execution = plan if plan is not None else ExecutionPlan()
+    if execution.rounds_per_block is not None:
+        raise ValueError(
+            "run_sweep does not accept plan.rounds_per_block; "
+            "use plan.intra_jobs to split shards into round-blocks"
+        )
+    intra_jobs = execution.intra_jobs
     tasks = spec.tasks()
     say = progress or (lambda message: None)
     say(spec.describe())
@@ -346,7 +319,7 @@ def run_sweep(
         shards=len(tasks),
         jobs=jobs,
         intra_jobs=intra_jobs,
-        spatial_shards=int(shard_settings.get("shards", 1)) if shard_settings else 1,
+        spatial_shards=execution.shards,
     )
 
     ordered: List[Optional[ShardResult]] = [None] * len(tasks)
@@ -400,21 +373,15 @@ def run_sweep(
                 # them before adding new ones.
                 CheckpointStore(cache.root / "checkpoints").prune_stale()
                 _run_chains(
-                    tasks, pending, jobs, intra_jobs,
-                    str(cache.root / "checkpoints"), commit, shard_settings,
+                    tasks, pending, jobs, execution,
+                    str(cache.root / "checkpoints"), commit,
                 )
             else:
                 with tempfile.TemporaryDirectory(prefix="repro-intra-") as tmp:
-                    _run_chains(
-                        tasks, pending, jobs, intra_jobs, tmp, commit, shard_settings
-                    )
+                    _run_chains(tasks, pending, jobs, execution, tmp, commit)
         elif jobs == 1 or len(pending) == 1:
             for count, index in enumerate(pending, start=1):
-                commit(
-                    index,
-                    _execute_task(tasks[index].to_payload(), shard_settings),
-                    count,
-                )
+                commit(index, _execute_task(tasks[index].to_payload(), execution), count)
         else:
             # Commit in completion order (not submission order): a slow early
             # shard must not delay persisting the shards finishing behind it.
@@ -424,9 +391,7 @@ def run_sweep(
             first_error: Optional[BaseException] = None
             with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
                 futures = {
-                    pool.submit(
-                        _execute_task, tasks[index].to_payload(), shard_settings
-                    ): index
+                    pool.submit(_execute_task, tasks[index].to_payload(), execution): index
                     for index in pending
                 }
                 count = 0

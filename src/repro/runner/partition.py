@@ -53,31 +53,60 @@ import pickle
 import shutil
 import tempfile
 import time
-import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar, Token
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, cast
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, cast
 
 from repro.obs import get_emitter
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.p2psim import Simulator
+    from repro.runner.plan import ExecutionPlan
 
 __all__ = [
     "BlockContext",
     "CheckpointStore",
     "OutOfBlockBudget",
     "active_context",
+    "active_plan",
     "round_blocks",
-    "run_market_partitioned",
-    "run_streaming_partitioned",
+    "running",
 ]
 
-_ACTIVE: Optional["BlockContext"] = None
+_Running = Tuple[Optional["ExecutionPlan"], Optional["BlockContext"]]
+
+#: The execution context of the current thread (or task): the running
+#: :class:`~repro.runner.plan.ExecutionPlan` and, when the run is split
+#: into round-blocks, its :class:`BlockContext`.  A ContextVar rather than
+#: a module global, so jobs on different threads (the ``repro serve``
+#: daemon runs one per thread) never see each other's context.
+_RUNNING: ContextVar[_Running] = ContextVar("repro-running", default=(None, None))
+
+
+def active_plan() -> Optional["ExecutionPlan"]:
+    """The running :class:`~repro.runner.plan.ExecutionPlan`, or ``None``."""
+    return _RUNNING.get()[0]
 
 
 def active_context() -> Optional["BlockContext"]:
     """The installed :class:`BlockContext`, or ``None`` outside one."""
-    return _ACTIVE
+    return _RUNNING.get()[1]
+
+
+@contextmanager
+def running(plan: "ExecutionPlan") -> Iterator[None]:
+    """Install ``plan`` as the execution plan of simulations run in this scope.
+
+    The simulators' ``run_config`` read it (and any :class:`BlockContext`
+    entered inside the scope) through :func:`active_plan` /
+    :func:`active_context`; configurations never carry execution knobs.
+    """
+    token = _RUNNING.set((plan, active_context()))
+    try:
+        yield
+    finally:
+        _RUNNING.reset(token)
 
 
 def round_blocks(total_rounds: int, blocks: int) -> List[int]:
@@ -276,13 +305,13 @@ class BlockContext:
         How many *new* blocks this invocation may advance before raising
         :class:`OutOfBlockBudget`.  Restoring existing checkpoints is
         free.  The executor uses ``budget=1`` so every pool task does one
-        block of work; :func:`run_market_partitioned` uses an unlimited
+        block of work; :func:`repro.runner.plan.execute` uses an unlimited
         budget to run a whole simulation in-process.
 
-    Installed via ``with context:`` — both simulators'
-    ``run_config`` classmethods consult :func:`active_context` and route
-    through :meth:`run_simulation` while one is installed.  Contexts do
-    not nest.
+    Installed via ``with context:`` inside the :func:`running` scope of
+    its plan — both simulators' ``run_config`` classmethods consult
+    :func:`active_context` and route through :meth:`run_simulation` while
+    one is installed.  Contexts do not nest.
     """
 
     def __init__(
@@ -295,17 +324,18 @@ class BlockContext:
         self.scope = str(scope)
         self.budget = None if budget is None else int(budget)
         self.ordinals = 0
+        self._token: Optional[Token[_Running]] = None
 
     def __enter__(self) -> "BlockContext":
-        global _ACTIVE
-        if _ACTIVE is not None:
+        if active_context() is not None:
             raise RuntimeError("a BlockContext is already active; contexts do not nest")
-        _ACTIVE = self
+        self._token = _RUNNING.set((active_plan(), self))
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        global _ACTIVE
-        _ACTIVE = None
+        if self._token is not None:
+            _RUNNING.reset(self._token)
+            self._token = None
 
     def _spend_budget(self) -> None:
         if self.budget is not None:
@@ -380,9 +410,6 @@ class BlockContext:
         self._sync_config_state(config, simulator.config)
         return result
 
-    #: Backwards-compatible alias from when only market runs partitioned.
-    run_market = run_simulation
-
     def _load(self, ordinal: int, block: int) -> Optional[object]:
         return self.store.load(self.scope, ordinal, block, self.blocks)
 
@@ -417,68 +444,3 @@ class BlockContext:
             if type(caller) is type(restored) and hasattr(caller, "__dict__"):
                 caller.__dict__.clear()
                 caller.__dict__.update(copy.deepcopy(restored.__dict__))
-
-
-def run_market_partitioned(
-    config: object,
-    blocks: int,
-    store: Optional[CheckpointStore] = None,
-    topology: object = None,
-    snapshot_times: Optional[Sequence[float]] = None,
-    scope: str = "run-market-partitioned",
-) -> object:
-    """Deprecated: run one :class:`MarketSimConfig` as checkpointed blocks.
-
-    Thin wrapper over :func:`repro.runner.plan.execute` with
-    ``ExecutionPlan(intra_jobs=blocks)`` — same semantics, same checkpoint
-    scope (existing stores stay resumable), bit-identical results.  New
-    code should call ``execute`` directly, where temporal blocks compose
-    with spatial sharding and kernel options behind one plan object.
-    """
-    warnings.warn(
-        "run_market_partitioned is deprecated; use "
-        "repro.runner.plan.execute(config, ExecutionPlan(intra_jobs=blocks))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runner.plan import ExecutionPlan, execute
-
-    return execute(
-        config,
-        ExecutionPlan(intra_jobs=blocks),
-        topology=topology,
-        snapshot_times=snapshot_times,
-        store=store,
-        scope=scope,
-    )
-
-
-def run_streaming_partitioned(
-    config: object,
-    blocks: int,
-    store: Optional[CheckpointStore] = None,
-    topology: object = None,
-    snapshot_times: Optional[Sequence[float]] = None,
-    scope: str = "run-streaming-partitioned",
-) -> object:
-    """Deprecated: run one :class:`StreamingSimConfig` as checkpointed blocks.
-
-    The streaming counterpart of :func:`run_market_partitioned`; equally a
-    thin deprecated wrapper over :func:`repro.runner.plan.execute`.
-    """
-    warnings.warn(
-        "run_streaming_partitioned is deprecated; use "
-        "repro.runner.plan.execute(config, ExecutionPlan(intra_jobs=blocks))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runner.plan import ExecutionPlan, execute
-
-    return execute(
-        config,
-        ExecutionPlan(intra_jobs=blocks),
-        topology=topology,
-        snapshot_times=snapshot_times,
-        store=store,
-        scope=scope,
-    )

@@ -1,11 +1,12 @@
-"""The unified execution plan: one object for *how* a simulation runs.
+"""The execution plan: the one object that says *how* a simulation runs.
 
-Earlier revisions scattered execution knobs across call sites —
-``run_market_partitioned(config, blocks)`` / ``run_streaming_partitioned``
-for temporal partitioning, ``--intra-jobs`` on the CLI, kernel and dtype
-switches inside :class:`~repro.p2psim.options.KernelOptions`, and (with
-spatial sharding) ``--shards``/``--partitioner`` on top.  The frozen
-:class:`ExecutionPlan` collapses them behind one :func:`execute` entry
+Every execution knob lives here and nowhere else — temporal partitioning
+into checkpointed round-blocks (``rounds_per_block`` / ``intra_jobs``,
+the CLI's ``--intra-jobs``) and spatial peer-space sharding (``shards`` /
+``partitioner`` / ``shard_backend``).  Simulator configurations describe
+the simulated system only; kernel and dtype selection is part of that
+description (:class:`~repro.p2psim.options.KernelOptions`).  The frozen
+:class:`ExecutionPlan` composes them behind one :func:`execute` entry
 point:
 
 >>> from repro.runner.plan import ExecutionPlan, execute
@@ -14,22 +15,25 @@ point:
 
 Every plan field describes *execution*, never the simulated system:
 ``execute(config, plan)`` is byte-identical to ``execute(config)`` for
-all plans, which is why sweeps can apply a plan ambiently without
-touching task configurations or artifact-cache keys.  The legacy
-``run_*_partitioned`` helpers remain as thin deprecated wrappers.
+all plans, which is why sweeps can apply a plan without touching task
+configurations or artifact-cache keys.  :func:`execute`, the sweep
+workers, ``repro run`` and the ``repro serve`` daemon all install the
+plan as the ambient execution context
+(:func:`repro.runner.partition.running`), from which the simulators'
+``run_config`` read it; code that builds a simulator directly passes the
+plan to its constructor.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.p2psim.options import PARTITIONERS, SHARD_BACKENDS, KernelOptions
-from repro.runner.partition import BlockContext, CheckpointStore
-from repro.runner.shard import MAX_SHARDS
+from repro.runner.partition import BlockContext, CheckpointStore, running
+from repro.runner.shard import MAX_SHARDS, PARTITIONERS, SHARD_BACKENDS
 
 __all__ = ["ExecutionPlan", "execute"]
 
@@ -46,27 +50,24 @@ class ExecutionPlan:
         the block count to ``intra_jobs``.
     intra_jobs:
         Number of checkpointed round-blocks (and, in sweeps, the pipeline
-        width for block execution) — the historical ``--intra-jobs`` /
-        ``blocks`` knob.  Ignored for block counting when
-        ``rounds_per_block`` is set.
+        width for block execution) — the CLI's ``--intra-jobs``.  Ignored
+        for block counting when ``rounds_per_block`` is set.
     shards:
-        Spatial shard count (``None`` inherits the config options').
+        Spatial shard count (default 1 = monolithic).  ``shards > 1``
+        requires the vectorized kernel.
     partitioner:
-        ``"overlay"`` or ``"hash"`` (``None`` inherits).
+        Peer-space partitioner: ``"overlay"`` (default, edge-cut
+        minimising BFS) or ``"hash"`` (``peer_id % shards`` baseline).
     shard_backend:
-        ``"thread"``, ``"process"`` or ``"serial"`` (``None`` inherits).
-    options:
-        Full :class:`~repro.p2psim.options.KernelOptions` override; when
-        set it replaces the config's options wholesale (the shard fields
-        above still win over it when also set).
+        Shard executor: ``"thread"`` (default), ``"process"`` or
+        ``"serial"``.
     """
 
     rounds_per_block: Optional[int] = None
     intra_jobs: int = 1
-    shards: Optional[int] = None
-    partitioner: Optional[str] = None
-    shard_backend: Optional[str] = None
-    options: Optional[KernelOptions] = None
+    shards: int = 1
+    partitioner: str = "overlay"
+    shard_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.rounds_per_block is not None and self.rounds_per_block < 1:
@@ -75,45 +76,21 @@ class ExecutionPlan:
             )
         if self.intra_jobs < 1:
             raise ValueError(f"intra_jobs must be >= 1, got {self.intra_jobs}")
-        if self.shards is not None and not 1 <= self.shards <= MAX_SHARDS:
+        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
+            raise ValueError(f"shards must be an int, got {self.shards!r}")
+        if not 1 <= self.shards <= MAX_SHARDS:
             raise ValueError(
                 f"shards must be in [1, {MAX_SHARDS}], got {self.shards}"
             )
-        if self.partitioner is not None and self.partitioner not in PARTITIONERS:
+        if self.partitioner not in PARTITIONERS:
             raise ValueError(
                 f"partitioner must be one of {PARTITIONERS}, got {self.partitioner!r}"
             )
-        if self.shard_backend is not None and self.shard_backend not in SHARD_BACKENDS:
+        if self.shard_backend not in SHARD_BACKENDS:
             raise ValueError(
                 f"shard_backend must be one of {SHARD_BACKENDS}, "
                 f"got {self.shard_backend!r}"
             )
-        if self.options is not None and not isinstance(self.options, KernelOptions):
-            raise TypeError("options must be a KernelOptions instance or None")
-
-    def resolved_options(self, config: object) -> KernelOptions:
-        """Effective kernel options for ``config`` under this plan."""
-        base = self.options if self.options is not None else config.options
-        updates: Dict[str, object] = {}
-        if self.shards is not None:
-            updates["shards"] = self.shards
-        if self.partitioner is not None:
-            updates["partitioner"] = self.partitioner
-        if self.shard_backend is not None:
-            updates["shard_backend"] = self.shard_backend
-        return dataclasses.replace(base, **updates) if updates else base
-
-    def shard_override_kwargs(self) -> Dict[str, object]:
-        """The plan's explicit shard settings, as :func:`~repro.runner.shard.\
-shard_overrides` keyword arguments (empty when everything is inherited)."""
-        out: Dict[str, object] = {}
-        if self.shards is not None:
-            out["shards"] = self.shards
-        if self.partitioner is not None:
-            out["partitioner"] = self.partitioner
-        if self.shard_backend is not None:
-            out["shard_backend"] = self.shard_backend
-        return out
 
     def blocks_for(self, total_rounds: int) -> int:
         """Round-block count for a run of ``total_rounds`` rounds."""
@@ -142,10 +119,10 @@ def execute(
 
     The single entry point behind which temporal partitioning
     (``rounds_per_block`` / ``intra_jobs`` checkpointed blocks, persisted
-    in ``store`` when given), spatial sharding (``shards`` /
-    ``partitioner`` / ``shard_backend``) and kernel selection compose.
-    Dispatches on the config type; any plan produces byte-identical
-    results to the monolithic default plan.
+    in ``store`` when given) and spatial sharding (``shards`` /
+    ``partitioner`` / ``shard_backend``) compose; kernel and dtype ride on
+    the config's options.  Dispatches on the config type; any plan
+    produces byte-identical results to the monolithic default plan.
     """
     from repro.p2psim.config import MarketSimConfig, StreamingSimConfig
     from repro.p2psim.market_sim import CreditMarketSimulator
@@ -162,26 +139,12 @@ def execute(
             "execute() needs a MarketSimConfig or StreamingSimConfig, "
             f"got {type(sim_config).__name__}"
         )
-    options = plan.resolved_options(sim_config)
-    if options == sim_config.options:
-        config = sim_config
-    else:
-        # kernel=None keeps the legacy field from re-firing its
-        # deprecation warning on the rebuilt config; the effective kernel
-        # already lives in the resolved options.
-        config = dataclasses.replace(sim_config, options=options, kernel=None)
-
     total = max(1, math.ceil(float(sim_config.horizon) / _round_length(sim_config)))
     blocks = plan.blocks_for(total)
-    if blocks <= 1 and store is None:
-        return runner(config, topology=topology, snapshot_times=snapshot_times)
-
-    def run_blocks(checkpoints: CheckpointStore) -> object:
-        context = BlockContext(checkpoints, blocks=blocks, scope=scope, budget=None)
-        with context:
-            return runner(config, topology=topology, snapshot_times=snapshot_times)
-
-    if store is not None:
-        return run_blocks(store)
-    with tempfile.TemporaryDirectory(prefix="repro-intra-") as tmp:
-        return run_blocks(CheckpointStore(tmp))
+    with running(plan), ExitStack() as stack:
+        if blocks > 1 or store is not None:
+            if store is None:
+                tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-intra-"))
+                store = CheckpointStore(tmp)
+            stack.enter_context(BlockContext(store, blocks=blocks, scope=scope, budget=None))
+        return runner(sim_config, topology=topology, snapshot_times=snapshot_times)

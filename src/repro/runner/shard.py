@@ -23,8 +23,9 @@ Sharding is an *execution* concern, never a *modelling* one:
   exact (integer counts carried in float64, or writes to disjoint index
   sets), so the merged arrays are byte-identical to the monolithic
   kernel's at every dtype the kernels support;
-* shard settings never enter sweep configurations, so sharded and
-  monolithic runs share artifact-cache keys (see :func:`shard_overrides`).
+* shard settings live on :class:`~repro.runner.plan.ExecutionPlan` alone
+  and never enter simulator or sweep configurations, so sharded and
+  monolithic runs share artifact-cache keys.
 
 Consequently ``shards=N`` composes freely with ``--intra-jobs`` temporal
 partitioning: checkpoints taken under any shard count restore under any
@@ -35,23 +36,26 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.p2psim.options import PARTITIONERS, SHARD_BACKENDS
-
 __all__ = [
+    "MAX_SHARDS",
+    "PARTITIONERS",
+    "SHARD_BACKENDS",
     "ShardPlan",
     "plan_shards",
     "run_shard_tasks",
-    "shard_overrides",
-    "active_shard_overrides",
-    "resolve_shard_settings",
+    "shard_plan_for",
 ]
+
+#: Valid spatial-shard partitioners, in documentation order.
+PARTITIONERS: Tuple[str, ...] = ("overlay", "hash")
+
+#: Valid shard execution backends.
+SHARD_BACKENDS: Tuple[str, ...] = ("thread", "process", "serial")
 
 #: Ceiling on shard counts — far above any core count, and keeps shard
 #: ids comfortably inside the int16 assignment tables.
@@ -306,87 +310,21 @@ def run_shard_tasks(
         return [future.result() for future in futures]
 
 
-# ------------------------------------------------------------- ambient knobs
+# ------------------------------------------------------------ simulator hook
 
 
-@dataclass(frozen=True)
-class ShardOverrides:
-    """Ambient shard settings installed by an execution path.
+def shard_plan_for(plan, kernel: str, topology) -> Optional[ShardPlan]:
+    """The :class:`ShardPlan` a simulator runs under, or ``None`` if monolithic.
 
-    ``None`` fields inherit from the simulator configuration's
-    :class:`~repro.p2psim.options.KernelOptions`.
+    ``plan`` is the run's :class:`~repro.runner.plan.ExecutionPlan`; the
+    per-spender ``loop`` kernel has no sharded form, so ``kernel="loop"``
+    with ``plan.shards > 1`` is rejected.
     """
-
-    shards: Optional[int] = None
-    partitioner: Optional[str] = None
-    shard_backend: Optional[str] = None
-
-
-_ACTIVE_OVERRIDES: ContextVar[Optional[ShardOverrides]] = ContextVar(
-    "repro-shard-overrides", default=None
-)
-
-
-def active_shard_overrides() -> Optional[ShardOverrides]:
-    """The ambient shard overrides installed by the current execution path."""
-    return _ACTIVE_OVERRIDES.get()
-
-
-@contextmanager
-def shard_overrides(
-    shards: Optional[int] = None,
-    partitioner: Optional[str] = None,
-    shard_backend: Optional[str] = None,
-) -> Iterator[None]:
-    """Install ambient shard settings for simulators built in this scope.
-
-    Sharding changes how a round executes, never what it computes, so
-    these knobs ride *beside* the configuration rather than inside it:
-    sweep tasks keep byte-identical payloads and artifact-cache keys
-    whether or not the run was sharded.  Overrides take precedence over
-    the corresponding :class:`~repro.p2psim.options.KernelOptions` fields;
-    ``None`` leaves a field inherited.
-    """
-    token = _ACTIVE_OVERRIDES.set(
-        ShardOverrides(shards=shards, partitioner=partitioner, shard_backend=shard_backend)
-    )
-    try:
-        yield
-    finally:
-        _ACTIVE_OVERRIDES.reset(token)
-
-
-def resolve_shard_settings(options) -> Tuple[int, str, str]:
-    """Effective ``(shards, partitioner, shard_backend)`` for a simulator.
-
-    Merges any ambient :func:`shard_overrides` over the configuration's
-    :class:`~repro.p2psim.options.KernelOptions` fields and validates the
-    combination (the per-spender ``loop`` kernel has no sharded form).
-    """
-    overrides = _ACTIVE_OVERRIDES.get()
-    shards = int(getattr(options, "shards", 1))
-    partitioner = str(getattr(options, "partitioner", "overlay"))
-    backend = str(getattr(options, "shard_backend", "thread"))
-    if overrides is not None:
-        if overrides.shards is not None:
-            shards = int(overrides.shards)
-        if overrides.partitioner is not None:
-            partitioner = overrides.partitioner
-        if overrides.shard_backend is not None:
-            backend = overrides.shard_backend
-    if shards < 1 or shards > MAX_SHARDS:
-        raise ValueError(f"shards must be in [1, {MAX_SHARDS}], got {shards}")
-    if partitioner not in PARTITIONERS:
-        raise ValueError(
-            f"unknown partitioner {partitioner!r}; known: {', '.join(PARTITIONERS)}"
-        )
-    if backend not in SHARD_BACKENDS:
-        raise ValueError(
-            f"unknown shard backend {backend!r}; known: {', '.join(SHARD_BACKENDS)}"
-        )
-    if shards > 1 and getattr(options, "kernel", "vectorized") == "loop":
+    if plan.shards == 1:
+        return None
+    if kernel == "loop":
         raise ValueError(
             "shards > 1 requires the vectorized kernel; the per-spender loop "
             "kernel has no sharded form"
         )
-    return shards, partitioner, backend
+    return plan_shards(topology, plan.shards, plan.partitioner)

@@ -10,9 +10,9 @@ parallelism promised that *how* a simulation executes never changes
   markets, plus churn/taxation variants);
 * partition — a run split into checkpointed round-blocks must be
   byte-identical to the monolithic run;
-* orchestrator — ``run_sweep(..., intra_jobs=2)`` must produce the same
-  shard payloads and aggregate CSV as the monolithic sweep for the fig7
-  and fig10 smoke scenarios.
+* orchestrator — ``run_sweep(..., plan=ExecutionPlan(intra_jobs=2))``
+  must produce the same shard payloads and aggregate CSV as the
+  monolithic sweep for the fig7 and fig10 smoke scenarios.
 """
 
 import dataclasses
@@ -188,8 +188,8 @@ class TestIntraJobsSweepEquivalence:
     def test_monolithic_vs_intra_jobs_aggregates_byte_identical(self, experiment_id):
         spec = SWEEP_SPECS[experiment_id]
         monolithic = run_sweep(spec, jobs=1)
-        chained = run_sweep(spec, jobs=1, intra_jobs=2)
-        pooled = run_sweep(spec, jobs=2, intra_jobs=2)
+        chained = run_sweep(spec, jobs=1, plan=ExecutionPlan(intra_jobs=2))
+        pooled = run_sweep(spec, jobs=2, plan=ExecutionPlan(intra_jobs=2))
         assert monolithic.executed == chained.executed == pooled.executed == 4
         assert (
             [shard.payload for shard in monolithic.shards]

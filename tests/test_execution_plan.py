@@ -1,22 +1,19 @@
-"""The unified ExecutionPlan API and its deprecated predecessors.
+"""``ExecutionPlan``: the one home of every execution knob.
 
-Satellite contract of the sharding PR: ``ExecutionPlan`` + ``execute``
-replace the scattered execution knobs (``run_market_partitioned`` /
-``run_streaming_partitioned``, per-call ``intra_jobs``, shard flags); the
-legacy wrappers survive as thin deprecated shims with unchanged
-semantics; and deprecation warnings — including the PR-9 legacy
-``kernel=`` config pass-through — point at the *caller's* line, not at
-library internals.
+``ExecutionPlan`` + ``execute`` carry temporal round-blocks and spatial
+shards; simulator configurations and their ``KernelOptions`` carry none
+of them.  Every plan is byte-identical to the monolithic run, simulators
+take the plan as a constructor argument, and ``run_config`` reads it from
+the ambient execution context that ``execute`` and the sweep workers
+install.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.p2psim import (
     CreditMarketSimulator,
-    KernelOptions,
     MarketSimConfig,
     StreamingMarketSimulator,
     StreamingSimConfig,
@@ -25,11 +22,11 @@ from repro.runner import (
     CheckpointStore,
     ExecutionPlan,
     execute,
-    run_market_partitioned,
-    run_streaming_partitioned,
     run_sweep,
+    running,
 )
 from repro.runner.grid import SweepSpec
+from repro.runner.partition import active_plan
 
 
 def market_config(**overrides):
@@ -71,7 +68,7 @@ class TestExecutionPlanValidation:
     def test_defaults_are_inert(self):
         plan = ExecutionPlan()
         assert plan.blocks_for(100) == 1
-        assert plan.shard_override_kwargs() == {}
+        assert (plan.shards, plan.partitioner, plan.shard_backend) == (1, "overlay", "thread")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -80,6 +77,7 @@ class TestExecutionPlanValidation:
             dict(intra_jobs=0),
             dict(shards=0),
             dict(shards=5000),
+            dict(shards=True),
             dict(partitioner="metis"),
             dict(shard_backend="gpu"),
         ],
@@ -88,25 +86,10 @@ class TestExecutionPlanValidation:
         with pytest.raises(ValueError):
             ExecutionPlan(**kwargs)
 
-    def test_options_must_be_kernel_options(self):
-        with pytest.raises(TypeError):
-            ExecutionPlan(options={"kernel": "loop"})
-
     def test_blocks_for_prefers_rounds_per_block(self):
         plan = ExecutionPlan(rounds_per_block=30, intra_jobs=8)
         assert plan.blocks_for(100) == 4  # ceil(100 / 30)
         assert ExecutionPlan(intra_jobs=3).blocks_for(100) == 3
-
-    def test_resolved_options_layering(self):
-        config = market_config(options=KernelOptions(dtype="float32"))
-        resolved = ExecutionPlan(shards=4).resolved_options(config)
-        assert resolved.dtype == "float32"  # config options survive
-        assert resolved.shards == 4  # plan shard fields win
-        wholesale = ExecutionPlan(
-            options=KernelOptions(telemetry=False), shards=2
-        ).resolved_options(config)
-        assert wholesale.telemetry is False
-        assert wholesale.shards == 2
 
     def test_plan_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -145,69 +128,52 @@ class TestExecuteEquivalence:
         assert list(tmp_path.iterdir())  # checkpoints actually landed
 
 
-class TestDeprecatedWrappers:
-    def test_market_wrapper_warns_and_matches(self):
+class TestPlanReachesTheSimulator:
+    def test_constructor_takes_the_plan(self):
         config = market_config()
-        with pytest.warns(DeprecationWarning, match="ExecutionPlan"):
-            legacy = run_market_partitioned(config, blocks=3)
-        assert fingerprint(legacy) == fingerprint(
-            execute(config, ExecutionPlan(intra_jobs=3))
+        assert CreditMarketSimulator(config)._shard_plan is None
+        sharded = CreditMarketSimulator(
+            config, plan=ExecutionPlan(shards=2, partitioner="hash", shard_backend="serial")
         )
+        assert sharded._shard_plan.shards == 2
+        assert sharded._shard_plan.partitioner == "hash"
+        assert sharded._shard_backend == "serial"
+        streaming = StreamingMarketSimulator(streaming_config(), plan=ExecutionPlan(shards=3))
+        assert streaming._shard_plan.shards == 3
 
-    def test_streaming_wrapper_warns_and_matches(self):
-        config = streaming_config()
-        with pytest.warns(DeprecationWarning, match="ExecutionPlan"):
-            legacy = run_streaming_partitioned(config, blocks=2)
-        assert fingerprint(legacy) == fingerprint(
-            execute(config, ExecutionPlan(intra_jobs=2))
-        )
+    def test_run_config_reads_the_running_plan(self, monkeypatch):
+        seen = []
+        original = CreditMarketSimulator.__init__
 
-    def test_wrapper_warning_points_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_market_partitioned(market_config(), blocks=2)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
+        def spy(self, *args, plan=None, **kwargs):
+            seen.append(plan)
+            original(self, *args, plan=plan, **kwargs)
 
-
-class TestLegacyKernelFieldStacklevel:
-    """The PR-9 ``kernel=`` config pass-through must blame the caller."""
-
-    def test_direct_construction_points_here(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            market_config(kernel="loop")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-    def test_dataclasses_replace_points_here(self):
-        config = market_config()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dataclasses.replace(config, kernel="vectorized")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-    def test_streaming_construction_points_here(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            streaming_config(kernel="vectorized")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
+        monkeypatch.setattr(CreditMarketSimulator, "__init__", spy)
+        plan = ExecutionPlan(shards=2, shard_backend="serial")
+        config = market_config(horizon=20.0)
+        CreditMarketSimulator.run_config(config)
+        with running(plan):
+            assert active_plan() is plan
+            CreditMarketSimulator.run_config(config)
+        execute(config, plan)
+        execute(config, dataclasses.replace(plan, intra_jobs=2))
+        assert seen[0] is None
+        assert seen[1] is plan and seen[2] is plan
+        assert seen[3] == dataclasses.replace(plan, intra_jobs=2)
+        assert active_plan() is None
 
 
 class TestRunSweepPlan:
-    def test_plan_rejects_modelling_fields(self):
+    def test_plan_rejects_rounds_per_block(self):
         spec = SweepSpec("fig7", replications=1, scale="smoke")
-        with pytest.raises(ValueError, match="plan.options"):
-            run_sweep(spec, plan=ExecutionPlan(options=KernelOptions()))
         with pytest.raises(ValueError, match="rounds_per_block"):
             run_sweep(spec, plan=ExecutionPlan(rounds_per_block=10))
 
-    def test_conflicting_intra_jobs_rejected(self):
+    def test_intra_jobs_has_one_home(self):
         spec = SweepSpec("fig7", replications=1, scale="smoke")
-        with pytest.raises(ValueError, match="conflicting intra_jobs"):
-            run_sweep(spec, intra_jobs=3, plan=ExecutionPlan(intra_jobs=2))
+        with pytest.raises(TypeError, match="intra_jobs"):
+            run_sweep(spec, intra_jobs=2)
 
     def test_plan_intra_jobs_drives_report(self):
         spec = SweepSpec("fig7", replications=1, scale="smoke")

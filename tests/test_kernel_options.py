@@ -1,7 +1,7 @@
 """Tests for the shared :class:`KernelOptions` bundle and the narrow-dtype path.
 
-Covers the options object itself (validation, ``resolve``, immutability),
-the deprecated per-config ``kernel`` field, the capacity/precision guards
+Covers the options object itself (validation, ``resolve``, immutability,
+its three fields), how configs take it, the capacity/precision guards
 that fire for narrow-dtype configurations, and the contractual properties
 of the float32 representation: cross-kernel bit-identity at either dtype,
 statistical (not bitwise) equivalence against the default float64 state,
@@ -89,26 +89,24 @@ class TestKernelOptions:
             options.kernel = "loop"
         assert len({KernelOptions(), KernelOptions(kernel="loop")}) == 2
 
+    def test_holds_only_kernel_dtype_and_telemetry(self):
+        # Execution knobs (shards, partitioner, backend) live on
+        # ExecutionPlan alone.
+        names = [field.name for field in dataclasses.fields(KernelOptions)]
+        assert names == ["kernel", "dtype", "telemetry"]
 
-class TestDeprecatedKernelField:
-    @pytest.mark.parametrize("config_cls", [MarketSimConfig, StreamingSimConfig])
-    def test_legacy_field_warns_and_wins(self, config_cls):
-        with pytest.warns(DeprecationWarning, match="KernelOptions"):
-            config = config_cls(kernel="loop", options=KernelOptions(kernel="vectorized"))
-        assert config.options.kernel == "loop"
 
+class TestConfigOptions:
     @pytest.mark.parametrize("config_cls", [MarketSimConfig, StreamingSimConfig])
-    def test_options_path_is_silent(self, config_cls, recwarn):
+    def test_options_select_the_kernel(self, config_cls, recwarn):
         config = config_cls(options=KernelOptions(kernel="loop"))
         assert config.options.kernel == "loop"
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+        assert not recwarn.list
 
-    def test_legacy_field_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="kernel"):
-                MarketSimConfig(kernel="bogus")
+    @pytest.mark.parametrize("config_cls", [MarketSimConfig, StreamingSimConfig])
+    def test_no_separate_kernel_field(self, config_cls):
+        with pytest.raises(TypeError, match="kernel"):
+            config_cls(kernel="loop")
 
     def test_rejects_non_options_object(self):
         with pytest.raises(TypeError, match="KernelOptions"):

@@ -30,7 +30,7 @@ from repro.p2psim import (
     StreamingSimConfig,
     UtilizationMode,
 )
-from repro.runner import ArtifactCache, ParamGrid, SweepSpec, run_sweep
+from repro.runner import ArtifactCache, ExecutionPlan, ParamGrid, SweepSpec, run_sweep
 
 
 def _market_config(kernel="vectorized", rounds=40):
@@ -295,7 +295,10 @@ class TestRunnerTelemetry:
         sink = MemorySink()
         with use_emitter(MetricsEmitter(sinks=[sink])):
             run_sweep(
-                self.SPEC, jobs=1, intra_jobs=2, cache=ArtifactCache(tmp_path)
+                self.SPEC,
+                jobs=1,
+                cache=ArtifactCache(tmp_path),
+                plan=ExecutionPlan(intra_jobs=2),
             )
         spans = sink.spans()
         # A two-block in-process chain saves at least the boundary checkpoint.
@@ -311,8 +314,9 @@ class TestRunnerTelemetry:
             # Budgeted invocations mirror the pool scheduler: the first
             # runs block 1 and checkpoints, the second restores that
             # checkpoint and finishes the shard.
-            assert _execute_chain_step(task.to_payload(), 2, str(tmp_path)) is None
-            assert _execute_chain_step(task.to_payload(), 2, str(tmp_path)) is not None
+            plan = ExecutionPlan(intra_jobs=2)
+            assert _execute_chain_step(task.to_payload(), plan, str(tmp_path)) is None
+            assert _execute_chain_step(task.to_payload(), plan, str(tmp_path)) is not None
         spans = sink.spans()
         assert spans["checkpoint.save"]["count"] >= 1
         assert spans["checkpoint.restore"]["count"] >= 1

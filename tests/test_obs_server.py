@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs.server import ReproServer, SweepJob, spec_from_request
+from repro.obs.server import ReproServer, SweepJob, plan_from_request, spec_from_request
+from repro.runner import ExecutionPlan
 
 SWEEP_REQUEST = {
     "target": "fig7",
@@ -79,6 +80,26 @@ class TestSpecFromRequest:
             spec_from_request({"params": {"average_wealth": [8]}})
 
 
+class TestPlanFromRequest:
+    def test_request_keys_override_the_daemon_plan(self):
+        default = ExecutionPlan(intra_jobs=2, partitioner="hash")
+        plan = plan_from_request({"shards": 4, "shard_backend": "serial"}, default)
+        assert plan == ExecutionPlan(
+            intra_jobs=2, shards=4, partitioner="hash", shard_backend="serial"
+        )
+
+    def test_absent_and_null_keys_inherit(self):
+        default = ExecutionPlan(shards=2)
+        assert plan_from_request({"shards": None}, default) == default
+        assert plan_from_request({}, default) == default
+
+    def test_invalid_values_rejected(self):
+        with pytest.raises(ValueError):
+            plan_from_request({"shards": 0}, ExecutionPlan())
+        with pytest.raises(ValueError):
+            plan_from_request({"partitioner": "metis"}, ExecutionPlan())
+
+
 class TestRoutes:
     def test_healthz(self, server):
         status, payload = _request(server, "GET", "/healthz")
@@ -113,7 +134,7 @@ class TestRoutes:
     def test_result_409_while_not_finished(self, server):
         # Register a job that never ran: /runs/<id>/result must 409 until
         # the worker thread stores payloads.
-        job = SweepJob("run-test", spec=None, jobs=1, intra_jobs=1, cache_dir=None)
+        job = SweepJob("run-test", spec=None, jobs=1, plan=ExecutionPlan(), cache_dir=None)
         server.service._jobs[job.id] = job
         server.service._order.append(job.id)
         status, payload = _request(server, "GET", "/runs/run-test/result")

@@ -1,11 +1,9 @@
-"""Tests for the membership tracker and churn process."""
+"""Tests for the membership tracker and churn configuration."""
 
 import pytest
 
-from repro.overlay import ChurnConfig, ChurnProcess, MembershipTracker, scale_free_topology
-from repro.overlay.churn import ChurnEventType
+from repro.overlay import ChurnConfig, MembershipTracker, scale_free_topology
 from repro.overlay.topology import OverlayTopology
-from repro.simulation import SimulationEngine
 
 
 class TestMembershipTracker:
@@ -73,130 +71,3 @@ class TestChurnConfig:
             ChurnConfig(arrival_rate=0.0, mean_lifespan=10.0)
         with pytest.raises(ValueError):
             ChurnConfig(arrival_rate=1.0, mean_lifespan=-5.0)
-
-
-class TestChurnProcess:
-    def _run(self, config, horizon=200.0, initial=30, seed=1):
-        topology = scale_free_topology(initial, mean_degree=6, seed=seed)
-        tracker = MembershipTracker(topology, target_degree=6, seed=seed + 1)
-        joined, left = [], []
-        churn = ChurnProcess(
-            config,
-            tracker,
-            on_join=lambda peer, time: joined.append(peer),
-            on_leave=lambda peer, time: left.append(peer),
-        )
-        engine = SimulationEngine(seed=seed)
-        churn.start(engine)
-        engine.run(until=horizon)
-        return topology, tracker, churn, joined, left
-
-    def test_generates_joins_and_leaves(self):
-        config = ChurnConfig(arrival_rate=0.5, mean_lifespan=60.0)
-        topology, tracker, churn, joined, left = self._run(config)
-        assert churn.join_count() == len(joined) > 0
-        assert churn.leave_count() == len(left) > 0
-        assert topology.num_peers == 30 + len(joined) - len(left)
-
-    def test_population_tracks_littles_law(self):
-        config = ChurnConfig.for_population(40, mean_lifespan=50.0)
-        topology, *_ = self._run(config, horizon=600.0, initial=40, seed=3)
-        # Steady-state population should stay within a factor ~2 of the target.
-        assert 15 <= topology.num_peers <= 90
-
-    def test_initial_peers_not_churned_when_disabled(self):
-        config = ChurnConfig(arrival_rate=0.01, mean_lifespan=5.0, churn_initial_peers=False)
-        topology, tracker, churn, joined, left = self._run(config, horizon=100.0)
-        initial_still_present = [peer for peer in range(30) if topology.has_peer(peer)]
-        assert len(initial_still_present) == 30
-
-    def test_events_recorded_in_order(self):
-        config = ChurnConfig(arrival_rate=0.5, mean_lifespan=40.0)
-        _, _, churn, _, _ = self._run(config)
-        times = [event.time for event in churn.events]
-        assert times == sorted(times)
-        assert all(isinstance(event.event_type, ChurnEventType) for event in churn.events)
-
-    def test_stop_cancels_departures(self):
-        config = ChurnConfig(arrival_rate=0.5, mean_lifespan=40.0)
-        topology = scale_free_topology(20, mean_degree=5, seed=9)
-        tracker = MembershipTracker(topology, target_degree=5, seed=10)
-        churn = ChurnProcess(config, tracker)
-        engine = SimulationEngine(seed=11)
-        churn.start(engine)
-        engine.run(until=10.0)
-        churn.stop()
-        population = topology.num_peers
-        engine.run(until=500.0)
-        assert topology.num_peers == population
-
-
-class TestChurnEdgeCases:
-    """Edge cases of event-driven churn: simultaneity and cancellation."""
-
-    def _process(self, initial=12, seed=21):
-        topology = scale_free_topology(initial, mean_degree=4, seed=seed)
-        tracker = MembershipTracker(topology, target_degree=4, seed=seed + 1)
-        config = ChurnConfig(
-            arrival_rate=0.001, mean_lifespan=1e6, churn_initial_peers=False
-        )
-        churn = ChurnProcess(config, tracker)
-        engine = SimulationEngine(seed=seed + 2)
-        churn.start(engine)
-        return topology, tracker, churn, engine
-
-    def test_arrival_at_same_event_time_as_departure(self):
-        # An arrival and a departure land on the identical simulation time;
-        # the engine breaks the tie by schedule order, and both events must
-        # apply cleanly — same population, both notifications recorded at
-        # the shared timestamp.
-        topology, tracker, churn, engine = self._process()
-        departing = sorted(topology.peers())[0]
-        when = 5.0
-        churn._schedule_departure(departing, when - engine.now)
-        engine.schedule_at(when, lambda _engine: churn._handle_arrival())
-        before = topology.num_peers
-        engine.run(until=when)
-        same_time = [event for event in churn.events if event.time == when]
-        kinds = sorted(event.event_type.value for event in same_time)
-        assert kinds == ["join", "leave"]
-        assert not topology.has_peer(departing)
-        assert topology.num_peers == before  # one in, one out
-        assert topology.isolated_peers() == []
-
-    def test_departure_after_peer_already_left_is_a_noop(self):
-        # Two departures can race onto the same peer (e.g. a rescheduled
-        # lifetime); the second must find the peer gone and do nothing.
-        topology, tracker, churn, engine = self._process()
-        departing = sorted(topology.peers())[0]
-        churn._schedule_departure(departing, 2.0)
-        engine.schedule_at(3.0, lambda _engine: churn._handle_departure(departing))
-        engine.run(until=4.0)
-        leaves = [
-            event
-            for event in churn.events
-            if event.peer_id == departing and event.event_type is ChurnEventType.LEAVE
-        ]
-        assert len(leaves) == 1
-
-    def test_on_stop_cancels_pending_departure_handles(self):
-        # Every scheduled departure holds an engine handle; stopping the
-        # process must cancel them all so no surgery fires afterwards.
-        topology = scale_free_topology(15, mean_degree=4, seed=31)
-        tracker = MembershipTracker(topology, target_degree=4, seed=32)
-        config = ChurnConfig(arrival_rate=0.2, mean_lifespan=50.0)
-        churn = ChurnProcess(config, tracker)
-        engine = SimulationEngine(seed=33)
-        churn.start(engine)
-        engine.run(until=5.0)
-        handles = list(churn._departure_handles.values())
-        assert handles, "expected pending departures"
-        assert all(not handle.cancelled for handle in handles)
-        churn.stop()
-        assert churn._departure_handles == {}
-        assert all(handle.cancelled for handle in handles)
-        population = topology.num_peers
-        events_before = len(churn.events)
-        engine.run(until=1000.0)
-        assert topology.num_peers == population
-        assert len(churn.events) == events_before

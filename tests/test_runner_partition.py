@@ -1,5 +1,7 @@
 """Tests for intra-run round-block partitioning (repro.runner.partition)."""
 
+import threading
+
 import pytest
 
 from repro.p2psim import CreditMarketSimulator, MarketSimConfig
@@ -9,7 +11,10 @@ from repro.runner.partition import (
     BlockContext,
     CheckpointStore,
     OutOfBlockBudget,
+    active_context,
+    active_plan,
     round_blocks,
+    running,
 )
 
 
@@ -104,6 +109,47 @@ class TestBlockContext:
         with BlockContext(store, blocks=2, scope="a"):
             with pytest.raises(RuntimeError):
                 BlockContext(store, blocks=2, scope="b").__enter__()
+
+    def test_contexts_are_per_thread(self, tmp_path):
+        # The daemon runs every job on its own thread: while job A holds its
+        # context, job B must see only (and be free to enter) its own.
+        store = CheckpointStore(tmp_path)
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+        errors = []
+
+        def job(scope, shards):
+            try:
+                with running(ExecutionPlan(shards=shards)):
+                    with BlockContext(store, blocks=2, scope=scope):
+                        barrier.wait()  # both contexts are installed now
+                        seen[scope] = (active_context().scope, active_plan().shards)
+                        barrier.wait()
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+                barrier.abort()
+
+        threads = [
+            threading.Thread(target=job, args=("job-a", 2)),
+            threading.Thread(target=job, args=("job-b", 3)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert seen == {"job-a": ("job-a", 2), "job-b": ("job-b", 3)}
+        assert active_context() is None and active_plan() is None
+
+    def test_context_keeps_the_running_plan(self, tmp_path):
+        plan = ExecutionPlan(intra_jobs=2)
+        with running(plan):
+            with BlockContext(CheckpointStore(tmp_path), blocks=2, scope="p") as context:
+                assert active_context() is context
+                assert active_plan() is plan
+            assert active_context() is None
+            assert active_plan() is plan
+        assert active_plan() is None
 
     def test_budget_of_one_advances_one_block_per_invocation(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -229,17 +275,17 @@ class TestExecutorIntraJobs:
 
     def test_intra_jobs_requires_at_least_one(self):
         with pytest.raises(ValueError):
-            run_sweep(self.SPEC, jobs=1, intra_jobs=0)
+            run_sweep(self.SPEC, jobs=1, plan=ExecutionPlan(intra_jobs=0))
 
     def test_checkpoints_pruned_after_commit(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        report = run_sweep(self.SPEC, jobs=1, intra_jobs=2, cache=cache)
+        report = run_sweep(self.SPEC, jobs=1, plan=ExecutionPlan(intra_jobs=2), cache=cache)
         assert report.executed == 2
         checkpoints = list((tmp_path / "checkpoints").glob("*/*.pkl"))
         assert checkpoints == []
 
     def test_report_records_intra_jobs(self):
-        report = run_sweep(self.SPEC, jobs=1, intra_jobs=2)
+        report = run_sweep(self.SPEC, jobs=1, plan=ExecutionPlan(intra_jobs=2))
         assert report.intra_jobs == 2
         assert "intra_jobs=2" in report.describe()
 

@@ -3,28 +3,23 @@
 The sharding layer's contract has three legs: the partition is a *total,
 disjoint cover* of the peer-id space (including ids that only exist after
 churn), the per-shard executors return results in task order regardless
-of backend, and the ambient override context changes execution without
-touching configurations.  Each leg is pinned here in isolation; the
-byte-identity of whole sharded simulations lives in
-``test_shard_determinism.py``.
+of backend, and a simulator's shard plan follows its ``ExecutionPlan``.
+Each leg is pinned here in isolation; the byte-identity of whole sharded
+simulations lives in ``test_shard_determinism.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.overlay import erdos_renyi_topology, ring_topology, scale_free_topology
-from repro.p2psim import KernelOptions
+from repro.runner.plan import ExecutionPlan
 from repro.runner.shard import (
     MAX_SHARDS,
-    ShardPlan,
-    active_shard_overrides,
+    PARTITIONERS,
     plan_shards,
-    resolve_shard_settings,
     run_shard_tasks,
-    shard_overrides,
+    shard_plan_for,
 )
-
-PARTITIONERS = ("overlay", "hash")
 
 
 def _topology(kind="scale-free", num_peers=200, seed=11):
@@ -159,51 +154,20 @@ class TestRunShardTasks:
         assert run_shard_tasks([lambda: "only"], backend="process") == ["only"]
 
 
-class TestShardOverrides:
-    def test_overrides_merge_over_options(self):
-        options = KernelOptions(shards=2, partitioner="hash", shard_backend="serial")
-        assert resolve_shard_settings(options) == (2, "hash", "serial")
-        with shard_overrides(shards=4, partitioner="overlay"):
-            assert resolve_shard_settings(options) == (4, "overlay", "serial")
-            assert active_shard_overrides().shards == 4
-        # The context restores cleanly.
-        assert active_shard_overrides() is None
-        assert resolve_shard_settings(options) == (2, "hash", "serial")
+class TestShardPlanFor:
+    """How a simulator turns its ExecutionPlan into a shard plan."""
 
-    def test_defaults_without_overrides(self):
-        assert resolve_shard_settings(KernelOptions()) == (1, "overlay", "thread")
+    def test_monolithic_plan_builds_no_shard_plan(self):
+        assert shard_plan_for(ExecutionPlan(), "vectorized", _topology()) is None
+        assert shard_plan_for(ExecutionPlan(), "loop", _topology()) is None
+
+    def test_plan_fields_reach_the_partition(self):
+        topology = _topology()
+        plan = shard_plan_for(ExecutionPlan(shards=4, partitioner="hash"), "vectorized", topology)
+        expected = plan_shards(topology, 4, "hash")
+        assert (plan.shards, plan.partitioner) == (4, "hash")
+        assert np.array_equal(plan.table, expected.table)
 
     def test_loop_kernel_rejected_with_shards(self):
-        options = KernelOptions(kernel="loop")
-        with shard_overrides(shards=2):
-            with pytest.raises(ValueError, match="vectorized"):
-                resolve_shard_settings(options)
-
-    def test_invalid_override_values_rejected(self):
-        with shard_overrides(shards=0):
-            with pytest.raises(ValueError):
-                resolve_shard_settings(KernelOptions())
-        with shard_overrides(partitioner="metis"):
-            with pytest.raises(ValueError):
-                resolve_shard_settings(KernelOptions())
-        with shard_overrides(shard_backend="gpu"):
-            with pytest.raises(ValueError):
-                resolve_shard_settings(KernelOptions())
-
-
-class TestKernelOptionsShardFields:
-    def test_options_validate_shard_fields(self):
-        with pytest.raises(ValueError):
-            KernelOptions(shards=0)
-        with pytest.raises(ValueError):
-            KernelOptions(partitioner="metis")
-        with pytest.raises(ValueError):
-            KernelOptions(shard_backend="gpu")
-        with pytest.raises(ValueError):
-            KernelOptions(kernel="loop", shards=2)
-
-    def test_resolve_carries_shard_fields(self):
-        resolved = KernelOptions().resolve(shards=4, partitioner="hash")
-        assert resolved.shards == 4
-        assert resolved.partitioner == "hash"
-        assert isinstance(ShardPlan.__dataclass_fields__, dict)  # frozen plan API
+        with pytest.raises(ValueError, match="vectorized"):
+            shard_plan_for(ExecutionPlan(shards=2), "loop", _topology())

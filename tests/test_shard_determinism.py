@@ -7,7 +7,7 @@ byte-identity for both simulators across shard counts, partitioners,
 executor backends, churned populations and narrow dtypes, then climb the
 stack: sharding composes with round-block partitioning, and sweep
 payloads (the artifacts CI's determinism job compares) are identical with
-and without ambient shard overrides.
+and without a sharded execution plan.
 """
 
 import json
@@ -25,7 +25,7 @@ from repro.p2psim import (
     StreamingSimConfig,
     UtilizationMode,
 )
-from repro.runner import ExecutionPlan, execute, shard_overrides
+from repro.runner import ExecutionPlan, execute, running
 from repro.runner.grid import SweepSpec
 from repro.runner.executor import run_sweep
 
@@ -88,24 +88,22 @@ def streaming_config(**overrides):
     return StreamingSimConfig(**defaults)
 
 
-def sharded_options(shards, partitioner="overlay", backend="serial"):
-    return KernelOptions(shards=shards, partitioner=partitioner, shard_backend=backend)
+def sharded_plan(shards, partitioner="overlay", backend="serial"):
+    return ExecutionPlan(shards=shards, partitioner=partitioner, shard_backend=backend)
 
 
 class TestMarketShardIdentity:
     @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_shard_counts_byte_identical(self, shards):
         baseline = CreditMarketSimulator(market_config()).run()
-        sharded = CreditMarketSimulator(
-            market_config(options=sharded_options(shards))
-        ).run()
+        sharded = CreditMarketSimulator(market_config(), plan=sharded_plan(shards)).run()
         assert market_fingerprint(baseline) == market_fingerprint(sharded)
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_backends_byte_identical(self, backend):
         baseline = CreditMarketSimulator(market_config()).run()
         sharded = CreditMarketSimulator(
-            market_config(options=sharded_options(4, backend=backend))
+            market_config(), plan=sharded_plan(4, backend=backend)
         ).run()
         assert market_fingerprint(baseline) == market_fingerprint(sharded)
 
@@ -118,7 +116,7 @@ class TestMarketShardIdentity:
         )
         baseline = CreditMarketSimulator(market_config(**shape)).run()
         sharded = CreditMarketSimulator(
-            market_config(options=sharded_options(4, partitioner=partitioner), **shape)
+            market_config(**shape), plan=sharded_plan(4, partitioner=partitioner)
         ).run()
         assert baseline.joins > 0  # churn actually happened
         assert market_fingerprint(baseline) == market_fingerprint(sharded)
@@ -128,27 +126,22 @@ class TestMarketShardIdentity:
             market_config(options=KernelOptions(dtype="float32"))
         ).run()
         sharded = CreditMarketSimulator(
-            market_config(
-                options=KernelOptions(dtype="float32", shards=4, shard_backend="serial")
-            )
+            market_config(options=KernelOptions(dtype="float32")), plan=sharded_plan(4)
         ).run()
         assert baseline.final_wealths.dtype == np.float32
         assert market_fingerprint(baseline) == market_fingerprint(sharded)
 
     def test_loop_kernel_rejected(self):
         config = market_config(options=KernelOptions(kernel="loop"))
-        with shard_overrides(shards=2):
-            with pytest.raises(ValueError, match="vectorized"):
-                CreditMarketSimulator(config)
+        with pytest.raises(ValueError, match="vectorized"):
+            CreditMarketSimulator(config, plan=sharded_plan(2))
 
 
 class TestStreamingShardIdentity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_shard_counts_byte_identical(self, shards):
         baseline = StreamingMarketSimulator(streaming_config()).run()
-        sharded = StreamingMarketSimulator(
-            streaming_config(options=sharded_options(shards))
-        ).run()
+        sharded = StreamingMarketSimulator(streaming_config(), plan=sharded_plan(shards)).run()
         assert streaming_fingerprint(baseline) == streaming_fingerprint(sharded)
 
     @pytest.mark.parametrize("policy", ["cheapest", "least-loaded", "availability"])
@@ -156,7 +149,7 @@ class TestStreamingShardIdentity:
         shape = dict(supplier_choice=policy, seed=23)
         baseline = StreamingMarketSimulator(streaming_config(**shape)).run()
         sharded = StreamingMarketSimulator(
-            streaming_config(options=sharded_options(4, backend="thread"), **shape)
+            streaming_config(**shape), plan=sharded_plan(4, backend="thread")
         ).run()
         assert streaming_fingerprint(baseline) == streaming_fingerprint(sharded)
 
@@ -164,7 +157,7 @@ class TestStreamingShardIdentity:
         shape = dict(churn=ChurnConfig(arrival_rate=0.3, mean_lifespan=70.0), seed=23)
         baseline = StreamingMarketSimulator(streaming_config(**shape)).run()
         sharded = StreamingMarketSimulator(
-            streaming_config(options=sharded_options(4, partitioner="hash"), **shape)
+            streaming_config(**shape), plan=sharded_plan(4, partitioner="hash")
         ).run()
         assert baseline.joins > 0
         assert streaming_fingerprint(baseline) == streaming_fingerprint(sharded)
@@ -185,11 +178,11 @@ class TestPlanComposition:
         planned = execute(config, ExecutionPlan(shards=4, shard_backend="serial"))
         assert streaming_fingerprint(baseline) == streaming_fingerprint(planned)
 
-    def test_ambient_overrides_do_not_change_results(self):
+    def test_running_plan_does_not_change_results(self):
         config = market_config()
         baseline = CreditMarketSimulator(config).run()
-        with shard_overrides(shards=4, shard_backend="serial"):
-            sharded = CreditMarketSimulator(config).run()
+        with running(sharded_plan(4)):
+            sharded = CreditMarketSimulator.run_config(config)
         assert market_fingerprint(baseline) == market_fingerprint(sharded)
 
 

@@ -250,9 +250,9 @@ class TestStreamingIntraJobsSweepEquivalence:
         spec = scenario(scenario_name, base_seed=17)
         serial = run_sweep(spec, jobs=1)
         pooled = run_sweep(spec, jobs=4)
-        chained = run_sweep(spec, jobs=4, intra_jobs=2)
+        chained = run_sweep(spec, jobs=4, plan=ExecutionPlan(intra_jobs=2))
         cache = ArtifactCache(tmp_path / "cache")
-        cold = run_sweep(spec, jobs=1, cache=cache, intra_jobs=2)
+        cold = run_sweep(spec, jobs=1, cache=cache, plan=ExecutionPlan(intra_jobs=2))
         warm = run_sweep(spec, jobs=1, cache=cache)
         assert serial.executed == pooled.executed == chained.executed == 2
         assert cold.executed == 2 and warm.executed == 0 and warm.cached == 2
