@@ -10,7 +10,7 @@ shape of the overlay is preserved under churn.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class MembershipTracker:
         self._next_peer_id = (max(topology.peers()) + 1) if topology.num_peers else 0
         self.joins = 0
         self.leaves = 0
+        self._touched: Set[int] = set()
 
     # ------------------------------------------------------------------ queries
 
@@ -68,6 +69,18 @@ class MembershipTracker:
         self._next_peer_id += 1
         return peer_id
 
+    def take_touched(self) -> List[int]:
+        """Peers whose neighbour sets changed since the last call, sorted.
+
+        Covers every edge the tracker added or removed: a joiner and its
+        new neighbours, a departed peer's former neighbours, and both ends
+        of every orphan-repair edge.  Simulators re-derive exactly these
+        rows after a round of churn; the record is cleared on each call.
+        """
+        touched = sorted(self._touched)
+        self._touched.clear()
+        return touched
+
     def select_neighbors(self, exclude: int, count: Optional[int] = None) -> List[int]:
         """Pick up to ``count`` neighbour candidates for a joining peer.
 
@@ -75,14 +88,14 @@ class MembershipTracker:
         empty list when the overlay is empty.
         """
         count = self.target_degree if count is None else int(count)
-        candidates = [peer for peer in self.topology.peers() if peer != exclude]
+        candidates = self.topology.peers()
+        if self.topology.has_peer(exclude):
+            candidates.remove(exclude)
         if not candidates or count <= 0:
             return []
         count = min(count, len(candidates))
         if self.preferential:
-            weights = np.array(
-                [self.topology.degree(peer) + 1.0 for peer in candidates], dtype=float
-            )
+            weights = self.topology.degree_array(candidates) + 1.0
             weights /= weights.sum()
             chosen = self._rng.choice(candidates, size=count, replace=False, p=weights)
         else:
@@ -107,6 +120,8 @@ class MembershipTracker:
         self.topology.add_peer(peer_id)
         for neighbor in neighbors:
             self.topology.add_edge(peer_id, neighbor)
+        self._touched.add(peer_id)
+        self._touched.update(neighbors)
         self.joins += 1
         return peer_id
 
@@ -120,6 +135,8 @@ class MembershipTracker:
         Returns the list of former neighbours of the departed peer.
         """
         former = self.topology.remove_peer(peer_id)
+        self._touched.discard(peer_id)
+        self._touched.update(former)
         self.leaves += 1
         if repair and self.topology.num_peers > 1:
             for orphan in former:
@@ -127,4 +144,5 @@ class MembershipTracker:
                     candidates = self.select_neighbors(exclude=orphan, count=1)
                     for candidate in candidates:
                         self.topology.add_edge(orphan, candidate)
+                    self._touched.update(candidates)
         return former

@@ -2,12 +2,50 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain, repeat
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 __all__ = ["OverlayTopology"]
+
+
+def _lookup_columns(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Map each of ``ids`` to the ``values`` entry of its key, -1 when absent.
+
+    Ids are small non-negative ints in every generated or churned overlay,
+    so one dense lookup table indexed by id does it in two passes.  The
+    table's size follows the largest id, though, so sparse ids (any id
+    past a few times the input size) and negative ids, which would index
+    the table from its end, go through a binary search over the sorted
+    keys instead.
+    """
+    lowest = min(int(keys.min(initial=0)), int(ids.min(initial=0)))
+    highest = max(int(keys.max(initial=-1)), int(ids.max(initial=-1)))
+    if lowest >= 0 and highest < 4 * (keys.size + ids.size) + 1024:
+        table = np.full(highest + 1, -1, dtype=np.int64)
+        table[keys] = values
+        return table[ids]
+    if keys.size == 0:
+        return np.full(ids.size, -1, dtype=np.int64)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    positions = np.minimum(np.searchsorted(sorted_keys, ids), keys.size - 1)
+    return np.where(sorted_keys[positions] == ids, values[by_key][positions], -1)
 
 
 class OverlayTopology:
@@ -54,8 +92,9 @@ class OverlayTopology:
         ``src[i]``–``dst[i]`` pairs are undirected edges; self-loops and
         duplicates (in either orientation) are dropped.  Unlike
         :meth:`from_edges`, the adjacency sets are materialised through
-        array operations — one sort of the symmetrised edge list plus one
-        C-level ``set()`` construction per peer — so million-peer overlays
+        array operations — one in-place sort of the packed edge keys, one
+        sort of the symmetrised edge list plus one C-level ``set()``
+        construction per peer — so million-peer overlays
         build in seconds instead of the minutes a per-edge Python loop
         takes.  The result is identical to feeding the same (deduplicated)
         edges through :meth:`from_edges`.
@@ -76,19 +115,23 @@ class OverlayTopology:
         src, dst = src[keep], dst[keep]
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
-        unique_keys = np.unique(lo * num_peers + hi)
+        # Sorted distinct keys, as `np.unique` returns them but without its
+        # hash path (several times slower on millions of keys).
+        keys = lo * num_peers + hi
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        unique_keys = keys[distinct]
         lo, hi = unique_keys // num_peers, unique_keys % num_peers
         topo = cls()
-        topo._adjacency = {peer: set() for peer in range(num_peers)}
         endpoint = np.concatenate([lo, hi])
-        other = np.concatenate([hi, lo])
         order = np.argsort(endpoint, kind="stable")
-        endpoint, other = endpoint[order], other[order]
-        boundaries = np.searchsorted(endpoint, np.arange(num_peers + 1))
-        for peer in range(num_peers):
-            start, end = int(boundaries[peer]), int(boundaries[peer + 1])
-            if end > start:
-                topo._adjacency[peer] = set(other[start:end].tolist())
+        others = np.concatenate([hi, lo])[order].tolist()
+        bounds = np.searchsorted(endpoint[order], np.arange(num_peers + 1)).tolist()
+        topo._adjacency = {
+            peer: set(others[bounds[peer] : bounds[peer + 1]])
+            for peer in range(num_peers)
+        }
         topo._edge_count = int(unique_keys.size)
         return topo
 
@@ -203,6 +246,18 @@ class OverlayTopology:
             raise KeyError(f"peer {peer_id} is not in the overlay")
         return len(self._adjacency[peer_id])
 
+    def degree_array(self, peer_ids: Sequence[int]) -> np.ndarray:
+        """Degrees of ``peer_ids`` as an int64 array, in the given order.
+
+        One C-level pass over the adjacency sets; raises ``KeyError`` for
+        a peer that is not in the overlay, like :meth:`degree`.
+        """
+        return np.fromiter(
+            map(len, map(self._adjacency.__getitem__, peer_ids)),
+            dtype=np.int64,
+            count=len(peer_ids),
+        )
+
     def degrees(self) -> Dict[int, int]:
         """Mapping of peer id to degree for every peer."""
         return {peer: len(neigh) for peer, neigh in self._adjacency.items()}
@@ -235,23 +290,34 @@ class OverlayTopology:
         return len(seen) == len(self._adjacency)
 
     def connected_components(self) -> List[Set[int]]:
-        """Return connected components as a list of peer-id sets (largest first)."""
-        remaining = set(self._adjacency)
-        components: List[Set[int]] = []
-        while remaining:
-            start = next(iter(remaining))
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for neighbor in self._adjacency[node]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        frontier.append(neighbor)
-            components.append(seen)
-            remaining -= seen
-        components.sort(key=len, reverse=True)
-        return components
+        """Return connected components as a list of peer-id sets.
+
+        Components are ordered by size, largest first, and equal sizes by
+        their smallest peer id.  The labelling runs in scipy's
+        ``csgraph.connected_components`` over the CSR adjacency, not a
+        Python BFS.
+        """
+        if not self._adjacency:
+            return []
+        order = self.peers()
+        peers = np.array(order, dtype=np.int64)
+        row_start, columns = self.csr_adjacency(order)
+        graph = csr_matrix(
+            (np.ones(columns.size), columns, row_start),
+            shape=(peers.size, peers.size),
+        )
+        count, labels = _csgraph_components(graph, directed=False)
+        sizes = np.bincount(labels, minlength=count)
+        # Positions index the sorted peer ids, so a component's smallest
+        # position is its smallest peer id.
+        smallest = np.full(count, peers.size, dtype=np.int64)
+        np.minimum.at(smallest, labels, np.arange(peers.size, dtype=np.int64))
+        ranked = np.lexsort((smallest, -sizes))
+        members = np.argsort(labels, kind="stable")
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        ids = peers[members].tolist()
+        return [set(ids[bounds[label] : bounds[label + 1]]) for label in ranked.tolist()]
 
     def degree_histogram(self) -> Dict[int, int]:
         """Return ``{degree: number of peers with that degree}``."""
@@ -307,7 +373,9 @@ class OverlayTopology:
         return matrix
 
     def csr_adjacency(
-        self, order: Optional[List[int]] = None
+        self,
+        order: Optional[List[int]] = None,
+        columns: Optional[Mapping[int, int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Flat CSR adjacency: ``(row_start, col_indices)`` in the given peer order.
 
@@ -319,28 +387,41 @@ class OverlayTopology:
         entries), never ``N × max_degree`` padding or the ``N²`` cells of
         :meth:`adjacency_matrix`.  Peers outside ``order`` are ignored,
         matching :meth:`adjacency_matrix`.
+
+        ``columns`` replaces the positions: a mapping from peer id to
+        column (the simulators pass their peer-to-slot map), under which
+        neighbours missing from the mapping are ignored instead.
+
+        The rows are gathered with one C-level pass over the adjacency
+        sets and ordered with one sort of packed ``(row, column)`` keys.
         """
         order = list(order) if order is not None else self.peers()
-        index = {peer: i for i, peer in enumerate(order)}
         count = len(order)
-        rows = [
-            sorted(
-                index[neighbor]
-                for neighbor in self._adjacency.get(peer, ())
-                if neighbor in index
-            )
-            for peer in order
-        ]
+        if columns is None:
+            keys = np.array(order, dtype=np.int64)
+            values = np.arange(count, dtype=np.int64)
+        else:
+            keys = np.fromiter(columns, dtype=np.int64, count=len(columns))
+            values = np.fromiter(columns.values(), dtype=np.int64, count=len(columns))
+        sets = list(map(self._adjacency.get, order, repeat(())))
+        listed = np.fromiter(map(len, sets), dtype=np.int64, count=count)
+        neighbors = np.fromiter(
+            chain.from_iterable(sets), dtype=np.int64, count=int(listed.sum())
+        )
+        col_indices = _lookup_columns(keys, values, neighbors)
+        del neighbors
+        rows = np.repeat(np.arange(count, dtype=np.int64), listed)
+        if col_indices.size and col_indices.min() < 0:
+            kept = col_indices >= 0
+            col_indices, rows = col_indices[kept], rows[kept]
         row_start = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(row) for row in rows), dtype=np.int64, count=count),
-            out=row_start[1:],
-        )
-        col_indices = np.fromiter(
-            (col for row in rows for col in row),
-            dtype=np.int64,
-            count=int(row_start[-1]),
-        )
+        np.cumsum(np.bincount(rows, minlength=count), out=row_start[1:])
+        # Ascending columns within each row: sort packed (row, column)
+        # keys in place, then take the row back off.
+        rows *= int(values.max(initial=0)) + 1
+        col_indices += rows
+        col_indices.sort()
+        col_indices -= rows
         return row_start, col_indices
 
     # ------------------------------------------------------------------ dunder

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import get_emitter
+from repro.obs import MetricsEmitter, get_emitter
 from repro.overlay.generators import scale_free_topology
 from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
@@ -42,27 +42,55 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
 
 
+#: Forward steps a credit may take from its guide entry before it falls
+#: back to the global binary search.  Credits take about one step under
+#: uniform prices and 1.3 on average under Poisson prices (under 0.1%
+#: need more than eight); the cap bounds the worst case, a bucket holding
+#: many edges of a heavily skewed row.
+_GUIDE_STEPS = 8
+
+#: Packs with fewer edges get no guide and route every credit with one
+#: global binary search: their CDF array fits in a core's L2 cache, where
+#: the search beats the guide's fixed per-call cost.  Routing every pack
+#: through the guide cost ``bench_simkernel.py``'s smoke cells (6
+#: alternating runs, 2-core x86-64) 22% of the 100-peer vectorized
+#: steps/s and 12% at 500 peers, and gained 38% at 10k peers.
+_GUIDED_MIN_EDGES = 1 << 15
+
+
 @dataclass
 class _RoutingPack:
     """Alive peers' routing rows in CSR (segmented) layout — no padding.
 
     Row ``r`` describes the peer in slot ``alive_slots[r]``: its routing
     edges occupy positions ``row_start[r]:row_start[r+1]`` of the flat
-    edge arrays.  ``edge_dst`` holds neighbour slot indices and ``flat``
-    the segmented cumulative routing probabilities offset by ``3.0 * r``
-    (each row's CDF is normalised so its last entry is exactly 1.0, so row
-    ``r`` occupies values in ``(3r, 3r + 1]``).  The concatenation is
-    therefore one globally sorted vector, and a credit of spender row
-    ``r`` with uniform ``u`` routes to edge ``searchsorted(flat, u + 3r,
-    "right")`` — one batched binary search routes every credit of a round
-    against exactly the degree mass of the overlay, instead of the padded
-    ``N × max_degree`` matrices earlier revisions materialised (which made
-    a single scale-free hub cost its degree on *every* peer and capped the
-    population near 10^3).  Both kernels compare against the same ``flat``
-    values, so their routing decisions are bit-identical; ``flat`` stays
-    float64 under either dtype switch because float32 cannot resolve a CDF
-    against a ``3.0 * r`` offset once ``r`` is large (spacing 0.25 at
+    edge arrays, neighbours in ascending slot order.  ``edge_dst`` holds
+    neighbour slot indices and ``flat`` the segmented cumulative routing
+    probabilities offset by ``3.0 * r`` (each row's CDF is normalised so
+    its last entry is exactly 1.0, so row ``r`` occupies values in
+    ``(3r, 3r + 1]``).  The concatenation is therefore one globally sorted
+    vector, and a credit of spender row ``r`` with uniform ``u`` routes to
+    edge ``min(searchsorted(flat, u + 3r, "right"), row_start[r+1] - 1)``
+    — the inverse-CDF rule both kernels implement.  The loop kernel runs
+    that search per row; the vectorized kernel gets the same edge from
+    :func:`_locate_edges`, which starts each credit at a guide entry and
+    only falls back to the global search for the rare credit a few steps
+    do not resolve.  Memory scales with the degree mass of the overlay,
+    never with ``N × max_degree`` padding.  ``flat`` stays float64 under
+    either dtype switch because float32 cannot resolve a CDF against a
+    ``3.0 * r`` offset once ``r`` is large (spacing 0.25 at
     ``r ≈ 10^6``).
+
+    ``guide`` runs parallel to the edges: for row ``r`` of degree ``d``,
+    ``guide[row_start[r] + b]`` (``0 <= b < d``) counts the row's CDF
+    entries ``c_j <= (b - 1) / d`` (up to rounding in ``c_j d``), as a
+    row-local int32 offset.  A draw ``u`` in bucket
+    ``b = min(floor(u d), d - 1)`` is at least ``b / d`` up to rounding, so
+    every counted edge has ``c_j < u`` and lies before the inverse-CDF
+    edge: the guide is a conservative start for a forward scan.
+    :func:`_guide_table` derives it from the concatenated CDF in a few
+    linear passes whenever a pack of at least ``_GUIDED_MIN_EDGES`` edges
+    is built; smaller packs have none.
 
     The pack is a pure cache derived from ``_neighbors``/``_cdfs``; any
     membership or routing change drops it and the next round rebuilds it.
@@ -73,14 +101,54 @@ class _RoutingPack:
     row_start: np.ndarray
     edge_dst: np.ndarray
     flat: np.ndarray
+    #: None for packs under ``_GUIDED_MIN_EDGES`` edges.
+    guide: Optional[np.ndarray]
     #: Row indices grouped by spatial shard (None when running monolithic).
     shard_rows: Optional[List[np.ndarray]] = None
 
 
+def _locate_edges(pack: _RoutingPack, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Global edge index each credit routes to, by guided inverse-CDF lookup.
+
+    Credit ``i`` of spender row ``rows[i]`` with uniform ``draws[i]``
+    lands on exactly ``min(searchsorted(pack.flat, draws[i] + 3 rows[i],
+    "right"), row end - 1)`` — the search the loop kernel runs, including
+    the clamp for a ``u + 3r`` that rounds up onto the row's last value
+    and zero-weight tails of equal CDF values.  Every edge before the
+    guide entry compares at most the target, so the scan steps forward
+    while the current edge does too; credits still unresolved after
+    ``_GUIDE_STEPS`` steps take the global ``searchsorted``, as do all
+    credits of a pack without a guide.  Every row in ``rows`` must have at
+    least one edge.
+    """
+    targets = draws + 3.0 * rows
+    last = pack.row_start[rows + 1] - 1
+    if pack.guide is None:
+        return np.minimum(np.searchsorted(pack.flat, targets, side="right"), last)
+    starts = pack.row_start[rows]
+    degrees = pack.degrees[rows]
+    buckets = np.minimum((draws * degrees).astype(np.int64), degrees - 1)
+    hits = starts + pack.guide[starts + buckets]
+    # Step on while the current edge's value is at most the target, but
+    # never past the row's last edge (the clamp).  Most credits take one
+    # step, so the first runs over all of them; later ones over the rest.
+    hits += (pack.flat[hits] <= targets) & (hits < last)
+    pending = np.flatnonzero((pack.flat[hits] <= targets) & (hits < last))
+    for _ in range(_GUIDE_STEPS - 1):
+        if pending.size == 0:
+            return hits
+        hits[pending] += 1
+        moved = hits[pending]
+        pending = pending[(pack.flat[moved] <= targets[pending]) & (moved < last[pending])]
+    if pending.size:
+        hits[pending] = np.minimum(
+            np.searchsorted(pack.flat, targets[pending], side="right"), last[pending]
+        )
+    return hits
+
+
 def _route_shard_rows(
-    flat: np.ndarray,
-    edge_dst: np.ndarray,
-    row_start: np.ndarray,
+    pack: _RoutingPack,
     rows: np.ndarray,
     spendable: np.ndarray,
     row_offsets: np.ndarray,
@@ -95,11 +163,11 @@ def _route_shard_rows(
     a thread or in a forked child): for the spender rows of one shard it
     gathers exactly the global draw positions the monolithic kernel would
     consume for those rows (``row_offsets`` is the cumulative spendable
-    count over *all* rows), searches the same globally sorted segmented
-    CDF, and returns a full-capacity income buffer plus the number of
-    credits that crossed the shard boundary.  Incomes are integer counts
-    in float64, so summing the per-shard buffers in shard order is exact —
-    byte-identical to the monolithic ``bincount``.
+    count over *all* rows), locates them with the same
+    :func:`_locate_edges`, and returns a full-capacity income buffer plus
+    the number of credits that crossed the shard boundary.  Incomes are
+    integer counts in float64, so summing the per-shard buffers in shard
+    order is exact — byte-identical to the monolithic ``bincount``.
     """
     counts = spendable[rows]
     total = int(counts.sum())
@@ -113,14 +181,63 @@ def _route_shard_rows(
         + np.arange(total, dtype=np.int64)
         - np.repeat(offsets[:-1], counts)
     )
-    hits = np.searchsorted(flat, draws[positions] + 3.0 * expanded, side="right")
-    hits = np.minimum(hits, row_start[expanded + 1] - 1)
-    destinations = edge_dst[hits]
+    destinations = pack.edge_dst[_locate_edges(pack, expanded, draws[positions])]
     income = np.bincount(destinations, minlength=capacity).astype(float)
     boundary = 0
     if shard_of_slot is not None:
         boundary = int(np.count_nonzero(shard_of_slot[destinations] != shard))
     return income, boundary
+
+
+def _guide_table(cdf: np.ndarray, degrees: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """Guide entries of every row of concatenated CDFs, one per edge.
+
+    Entry ``b`` of a row of degree ``d`` counts its CDF values
+    ``c_j <= (b - 1) / d``: edge ``j`` counts from bucket
+    ``ceil(c_j d) + 1`` on, so one histogram of those buckets over the
+    whole edge array, accumulated and taken relative to each row's bucket
+    0, gives every row's counts.  Bucket 0 itself only ever collects the
+    previous row's capped buckets (no edge starts there), which the
+    relative sum leaves out.  Rounding in ``c_j d`` can shift an edge by
+    one bucket either way; the one-bucket margin of ``(b - 1) / d`` below
+    a bucket's lowest draw keeps the guide conservative regardless.
+    """
+    # The bucket arithmetic runs in place on one float64 array (exact:
+    # every value is an integer below 2^53), so the pass holds at most two
+    # edge-length temporaries at a time.
+    heads = row_start[:-1]
+    edge_degree = np.repeat(degrees, degrees)
+    scaled = np.multiply(cdf, edge_degree, dtype=np.float64)
+    np.ceil(scaled, out=scaled)
+    scaled += 1.0
+    np.minimum(scaled, edge_degree, out=scaled)
+    del edge_degree
+    scaled += np.repeat(heads, degrees)
+    buckets = scaled.astype(np.int64)
+    del scaled
+    # One slot past the end takes the last row's capped buckets.
+    counts = np.bincount(buckets, minlength=cdf.size + 1)
+    del buckets
+    np.cumsum(counts, out=counts)
+    guide = counts[: cdf.size]
+    guide -= np.repeat(counts[heads], degrees)
+    return guide.astype(np.int32)
+
+
+class _PhaseClock:
+    """Emits consecutive ``market.phase.<name>`` timings of one round."""
+
+    __slots__ = ("emitter", "mark")
+
+    def __init__(self, emitter: MetricsEmitter) -> None:
+        self.emitter = emitter
+        self.mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Emit the time since the previous lap as ``phase``."""
+        now = time.perf_counter()
+        self.emitter.timing("market.phase." + phase, now - self.mark)
+        self.mark = now
 
 
 @dataclass
@@ -263,20 +380,25 @@ class CreditMarketSimulator:
 
         initial_peers = self.topology.peers()
         mu_by_peer = self._configure_spending_rates(initial_peers)
-        # Bulk admission: create every peer's state first, then derive each
-        # routing row exactly once.  Admitting with per-peer refresh would
-        # recompute every earlier neighbour's row on each admission —
-        # O(sum degree^2) Python work that dominated start-up well before
-        # the million-peer scale.  A row only depends on which of its own
-        # neighbours are admitted, so refresh-once-at-the-end produces
-        # bit-identical rows to the historical cascade.
-        for peer in initial_peers:
-            self._admit(peer, mu_by_peer[peer], refresh=False)
-        for peer in initial_peers:
-            self._refresh_routing_row(peer)
-        # Build the routing pack eagerly: it is part of construction, not of
-        # the first advanced round (benchmarks time rounds, not set-up).
-        self._routing_pack()
+        # Bulk admission: initial peers take slots 0..n-1 in id order (the
+        # order one-by-one admission from the free list would give), then
+        # one array pass derives every routing row.  The pack is assembled
+        # from that pass's arrays, in slot order, without copying them.
+        count = len(initial_peers)
+        self._alive[:count] = True
+        self._balance[:count] = config.initial_credits
+        self._base_mu[:count] = np.fromiter(
+            map(mu_by_peer.__getitem__, initial_peers), dtype=float, count=count
+        )
+        self._slot_of = dict(zip(initial_peers, range(count)))
+        self._peer_of = dict(zip(range(count), initial_peers))
+        self._free_slots = list(range(capacity - 1, count - 1, -1))
+        if self._shard_of_slot is not None:
+            self._shard_of_slot[:count] = [
+                self._shard_plan.shard_of_peer(peer) for peer in initial_peers
+            ]
+        slots, degrees, edge_dst, cdf = self._refresh_routing_rows(initial_peers)
+        self._pack = self._assemble_pack(slots, degrees, edge_dst, cdf)
         emitter = get_emitter()
         if self._shard_plan is not None and emitter.enabled and options.telemetry:
             emitter.gauge("market.shard.count", float(self._shard_plan.shards))
@@ -358,13 +480,12 @@ class CreditMarketSimulator:
         self._free_slots = list(range(new_capacity - 1, self._capacity - 1, -1)) + self._free_slots
         self._capacity = new_capacity
 
-    def _admit(self, peer_id: int, spending_rate: float, refresh: bool = True) -> int:
+    def _admit(self, peer_id: int, spending_rate: float) -> int:
         """Create simulator state for ``peer_id`` (already present in the topology).
 
-        ``refresh=False`` skips the routing-row derivation (and the
-        re-derivation of already-admitted neighbours); the caller is then
-        responsible for refreshing every affected row — the bulk admission
-        path in ``__init__`` does this exactly once per peer.
+        No routing row is derived here: churn re-derives the rows of every
+        peer whose adjacency changed, the joiner's included, in one
+        :meth:`_refresh_routing_rows` call at the end of the round.
         """
         if not self._free_slots:
             self._grow_capacity()
@@ -378,11 +499,7 @@ class CreditMarketSimulator:
         self._peer_of[slot] = peer_id
         if self._shard_of_slot is not None:
             self._shard_of_slot[slot] = self._shard_plan.shard_of_peer(peer_id)
-        if refresh:
-            self._refresh_routing_row(peer_id)
-            for neighbor in self.topology.neighbors(peer_id):
-                if neighbor in self._slot_of:
-                    self._refresh_routing_row(neighbor)
+        self._pack = None
         return slot
 
     def _evict(self, peer_id: int) -> None:
@@ -396,45 +513,78 @@ class CreditMarketSimulator:
         self._free_slots.append(slot)
         self._pack = None
 
-    def _refresh_routing_row(self, peer_id: int) -> None:
-        """Recompute the neighbour list and routing CDF of one peer.
+    def _refresh_routing_rows(
+        self, peer_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Derive the routing rows of ``peer_ids`` in one array pass.
 
-        The cumulative distribution is derived here (in float64, then
-        stored at the configured state dtype) rather than at pack-build
-        time: per-row ``cumsum`` keeps the exact historical float
-        sequence — a segmented cumsum over the concatenated edge array
-        would accumulate across rows and round differently — and moves the
-        O(degree) Python work out of the (benchmarked) round loop.
+        The one place a routing row is built: construction calls it once
+        for every peer, churn once per round for the peers whose adjacency
+        changed; peers without a slot are skipped.  A row lists the
+        peer's admitted neighbours in ascending slot order.  That order is
+        fixed by the simulator's own state — adjacency-set iteration order
+        depends on each set's insertion history and does not survive a
+        pickle round-trip, so a checkpointed run would diverge from the
+        monolithic one.
+
+        The row's CDF is the running sum of its neighbours' posted prices
+        (clipped at 1e-12, then normalised), computed in float64 and
+        stored at the configured state dtype.  Rows of equal degree are
+        stacked so that one ``cumsum(axis=1)`` per degree reproduces each
+        row's own sequential ``cumsum`` bit for bit; a segmented cumsum
+        over the concatenated edges would accumulate across rows and round
+        differently.
+
+        The pass's arrays are returned as ``(slots, degrees, edge_dst,
+        cdf)`` in row order.
         """
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
-            return
-        self._pack = None
         options = self.config.options
-        neighbor_ids = [
-            neighbor
-            for neighbor in self.topology.neighbors(peer_id)
-            if neighbor in self._slot_of
-        ]
-        if not neighbor_ids:
-            self._neighbors[slot] = np.empty(0, dtype=options.index_dtype)
-            self._cdfs[slot] = np.empty(0, dtype=options.float_dtype)
-            return
+        slot_of = self._slot_of
+        peers = [peer for peer in peer_ids if peer in slot_of]
+        count = len(peers)
+        slots = np.fromiter(map(slot_of.__getitem__, peers), dtype=np.int64, count=count)
+        row_start, edge_slots = self.topology.csr_adjacency(peers, columns=slot_of)
+        degrees = np.diff(row_start)
+        peer_at = np.zeros(self._capacity, dtype=np.int64)
+        peer_at[np.fromiter(self._peer_of, dtype=np.int64, count=len(self._peer_of))] = (
+            np.fromiter(self._peer_of.values(), dtype=np.int64, count=len(self._peer_of))
+        )
         weights = np.asarray(
-            self.config.pricing.price_array(neighbor_ids, 0), dtype=float
+            self.config.pricing.price_array(peer_at[edge_slots], 0), dtype=float
         )
         weights = np.clip(weights, 1e-12, None)
-        self._neighbors[slot] = np.array(
-            [self._slot_of[neighbor] for neighbor in neighbor_ids],
-            dtype=options.index_dtype,
-        )
-        probs = weights / weights.sum()
-        row_cdf = np.cumsum(probs)
-        # The last entry must be exactly 1.0 so every uniform draw in
-        # [0, 1) lands on a real neighbour despite cumsum rounding;
-        # dividing by the total guarantees it.
-        row_cdf /= row_cdf[-1]
-        self._cdfs[slot] = row_cdf.astype(options.float_dtype, copy=False)
+        edge_dst = edge_slots.astype(options.index_dtype, copy=False)
+        del edge_slots
+
+        cdf = np.empty(weights.size, dtype=options.float_dtype)
+        by_degree = np.argsort(degrees, kind="stable")
+        group_bounds = np.flatnonzero(np.diff(degrees[by_degree])) + 1
+        for group in np.split(by_degree, group_bounds):
+            degree = int(degrees[group[0]]) if group.size else 0
+            if degree == 0:
+                continue
+            cells = row_start[group][:, None] + np.arange(degree)
+            stacked = weights[cells]
+            row_cdf = np.cumsum(stacked / stacked.sum(axis=1, keepdims=True), axis=1)
+            # The last entry must be exactly 1.0 so every uniform draw in
+            # [0, 1) lands on a real neighbour despite cumsum rounding;
+            # dividing by the total guarantees it.
+            row_cdf /= row_cdf[:, -1:]
+            cdf[cells] = row_cdf
+        # Rows of a pass over every admitted peer are views into its
+        # arrays; rows of a partial pass are copies, so one surviving row
+        # never keeps a whole churn round's arrays alive.
+        share = count == len(slot_of)
+        bounds = row_start.tolist()
+        for row, slot in enumerate(slots.tolist()):
+            neighbors = edge_dst[bounds[row] : bounds[row + 1]]
+            row_cdf = cdf[bounds[row] : bounds[row + 1]]
+            if not share:
+                neighbors, row_cdf = neighbors.copy(), row_cdf.copy()
+            self._neighbors[slot] = neighbors
+            self._cdfs[slot] = row_cdf
+        self._pack = None
+        return slots, degrees, edge_dst, cdf
 
     # ------------------------------------------------------------------ churn
 
@@ -443,7 +593,7 @@ class CreditMarketSimulator:
             self,
             dt,
             admit=lambda peer_id: self._admit(peer_id, self._default_spending_rate()),
-            refresh_neighbor=self._refresh_routing_row,
+            refresh_rows=self._refresh_routing_rows,
         )
 
     # ------------------------------------------------------------------ taxation
@@ -453,66 +603,80 @@ class CreditMarketSimulator:
 
     # ------------------------------------------------------------------ main loop
 
+    def _assemble_pack(
+        self,
+        alive_slots: np.ndarray,
+        degrees: np.ndarray,
+        edge_dst: np.ndarray,
+        cdf: np.ndarray,
+    ) -> _RoutingPack:
+        """Build the routing pack over rows given in ascending slot order."""
+        count = alive_slots.size
+        row_start = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(degrees, out=row_start[1:])
+        # The guide first, so its temporaries never coexist with `flat`.
+        guide = None
+        if cdf.size >= _GUIDED_MIN_EDGES:
+            guide = _guide_table(cdf, degrees, row_start)
+        # float64 offsets regardless of the state dtype: adding 3r to a
+        # float32 CDF stops resolving distinct probabilities once r is
+        # large, while a float64 add of a float32 cdf value is exact.
+        flat = np.repeat(3.0 * np.arange(count, dtype=np.float64), degrees)
+        flat += cdf
+        shard_rows = None
+        if self._shard_plan is not None:
+            shard_of_rows = self._shard_of_slot[alive_slots]
+            shard_rows = [
+                np.flatnonzero(shard_of_rows == shard)
+                for shard in range(self._shard_plan.shards)
+            ]
+        return _RoutingPack(
+            alive_slots, degrees, row_start, edge_dst, flat, guide, shard_rows
+        )
+
     def _routing_pack(self) -> _RoutingPack:
         """Return the CSR routing arrays of the alive population.
 
-        Rebuilt lazily after any membership/routing change; on static
-        overlays the pack is built once and reused for the whole run.
-        Memory and build time scale with the edge count, never with
+        Rebuilt lazily after any membership/routing change by
+        concatenating the stored rows (no row is re-derived; the guide
+        takes a few linear passes over the result); on static overlays the pack built at construction serves the whole
+        run.  Memory and build time scale with the edge count, never with
         ``N × max_degree``.
         """
         if self._pack is None:
+            options = self.config.options
             alive_slots = np.flatnonzero(self._alive)
-            count = alive_slots.size
-            empty_nbr = np.empty(0, dtype=self.config.options.index_dtype)
-            rows = [self._neighbors.get(int(slot), empty_nbr) for slot in alive_slots]
-            degrees = np.fromiter(
-                (row.size for row in rows), dtype=np.int64, count=count
+            slots = alive_slots.tolist()
+            rows = list(map(self._neighbors.__getitem__, slots))
+            degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            edge_dst = np.concatenate([np.empty(0, dtype=options.index_dtype), *rows])
+            cdf = np.concatenate(
+                [np.empty(0, dtype=options.float_dtype), *map(self._cdfs.__getitem__, slots)]
             )
-            row_start = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=row_start[1:])
-            if count:
-                edge_dst = np.concatenate(rows)
-                edge_cdf = np.concatenate(
-                    [self._cdfs.get(int(slot), empty_nbr) for slot in alive_slots]
-                )
-            else:
-                edge_dst = empty_nbr
-                edge_cdf = np.empty(0)
-            # float64 offsets regardless of the state dtype: adding 3r to a
-            # float32 CDF stops resolving distinct probabilities once r is
-            # large, while a float64 add of a float32 cdf value is exact.
-            flat = edge_cdf.astype(np.float64, copy=False) + 3.0 * np.repeat(
-                np.arange(count, dtype=np.float64), degrees
-            )
-            shard_rows = None
-            if self._shard_plan is not None:
-                shard_of_rows = self._shard_of_slot[alive_slots]
-                shard_rows = [
-                    np.flatnonzero(shard_of_rows == shard)
-                    for shard in range(self._shard_plan.shards)
-                ]
-            self._pack = _RoutingPack(
-                alive_slots, degrees, row_start, edge_dst, flat, shard_rows
-            )
+            self._pack = self._assemble_pack(alive_slots, degrees, edge_dst, cdf)
         return self._pack
 
     def _route_credits_vectorized(
-        self, pack: _RoutingPack, spendable: np.ndarray, draws: np.ndarray
+        self,
+        pack: _RoutingPack,
+        spendable: np.ndarray,
+        draws: np.ndarray,
+        clock: Optional[_PhaseClock] = None,
     ) -> np.ndarray:
-        """Route every credit of the round with one batched binary search.
+        """Route every credit of the round in one batched guided lookup.
 
-        The segmented CDF array is globally sorted (row ``r`` occupies
-        ``(3r, 3r + 1]``), so one ``searchsorted`` against the whole edge
-        array resolves every credit; entries of earlier rows are at most
-        ``3r - 2`` and can never capture row ``r``'s draws.
+        Expands the spendable counts into one spender row per credit and
+        locates each credit's edge with :func:`_locate_edges` — the same
+        edge the loop kernel's per-row search finds.  With a ``clock``,
+        the expansion and the lookup are emitted as the ``expand`` and
+        ``locate`` phases.
         """
         rows = np.repeat(np.arange(pack.alive_slots.size), spendable)
-        hits = np.searchsorted(pack.flat, draws + 3.0 * rows, side="right")
-        # `u + 3r` can round up to exactly the row's final cdf value (e.g.
-        # u = 1 - 2**-53 at row 1 rounds to 4.0), which would index one past
-        # the row's last edge; clamp those ~ulp-probability draws onto it.
-        hits = np.minimum(hits, pack.row_start[rows + 1] - 1)
+        if clock is not None:
+            clock.lap("expand")
+        hits = _locate_edges(pack, rows, draws)
+        if clock is not None:
+            clock.lap("locate")
         destinations = pack.edge_dst[hits]
         return np.bincount(destinations, minlength=self._capacity).astype(float)
 
@@ -540,9 +704,7 @@ class CreditMarketSimulator:
         tasks = [
             functools.partial(
                 _route_shard_rows,
-                pack.flat,
-                pack.edge_dst,
-                pack.row_start,
+                pack,
                 rows,
                 spendable,
                 row_offsets,
@@ -595,6 +757,17 @@ class CreditMarketSimulator:
         alive_slots = pack.alive_slots
         if alive_slots.size == 0:
             return
+        # Per-round timings are pre-measured `timing()` events rather than
+        # `span()` context managers — roughly half the instrumentation
+        # cost, which the telemetry-overhead CI gate holds under 5%.  The
+        # monolithic vectorized kernel also splits its round into the
+        # draw, expand, locate and settle phases.
+        options = self.config.options
+        emitter = get_emitter()
+        observing = emitter.enabled and options.telemetry
+        clock = None
+        if observing and options.kernel == "vectorized" and self._shard_plan is None:
+            clock = _PhaseClock(emitter)
         balances = self._balance[alive_slots]
         rates = self.config.spending_policy.effective_rate_vector(
             self._base_mu[alive_slots], balances
@@ -610,13 +783,8 @@ class CreditMarketSimulator:
             self._apply_taxation(self._zero_income)
             return
         draws = rng.random(total)
-        # The kernel runs tens of thousands of times per second, so its
-        # timing is a pre-measured `timing()` event rather than a `span()`
-        # context manager — roughly half the per-round instrumentation
-        # cost, which the telemetry-overhead CI gate holds under 5%.
-        options = self.config.options
-        emitter = get_emitter()
-        observing = emitter.enabled and options.telemetry
+        if clock is not None:
+            clock.lap("draw")
         kernel_started = time.perf_counter() if observing else 0.0
         boundary = 0
         if options.kernel == "loop":
@@ -626,7 +794,7 @@ class CreditMarketSimulator:
                 pack, spendable, draws, observing
             )
         else:
-            income = self._route_credits_vectorized(pack, spendable, draws)
+            income = self._route_credits_vectorized(pack, spendable, draws, clock)
         if observing:
             emitter.timing(
                 "market.kernel." + options.kernel,
@@ -642,6 +810,8 @@ class CreditMarketSimulator:
         self._balance[received] += income[received]
         self._earned[received] += income[received]
         self._apply_taxation(income)
+        if clock is not None:
+            clock.lap("settle")
 
     def total_rounds(self) -> int:
         """Number of simulation rounds the configured horizon spans."""

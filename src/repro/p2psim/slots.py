@@ -18,7 +18,7 @@ counters.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -31,7 +31,7 @@ def apply_round_churn(
     sim,
     dt: float,
     admit: Callable[[int], object],
-    refresh_neighbor: Callable[[int], None],
+    refresh_rows: Callable[[List[int]], None],
 ) -> None:
     """Apply one round of Poisson arrivals and exponential departures.
 
@@ -40,8 +40,12 @@ def apply_round_churn(
     distribution is memoryless, so peers present at start-up churn like
     everyone else) and a Poisson number of peers arrives, wired into the
     overlay by the tracker.  ``admit`` creates the simulator state of one
-    joining peer; ``refresh_neighbor`` re-derives one peer's cached
-    neighbour row after topology surgery.
+    joining peer without deriving any neighbour row.  Once the round's
+    topology surgery is done, ``refresh_rows`` re-derives, in one call,
+    the rows of every peer whose adjacency the tracker touched (sorted
+    ids; departed peers among them are skipped by the simulator): the
+    joiners, their new neighbours, the departed peers' former neighbours
+    and both ends of each orphan-repair edge.
     """
     churn = sim.config.churn
     if churn is None:
@@ -54,16 +58,17 @@ def apply_round_churn(
         if sim.topology.num_peers <= 2:
             break
         peer_id = sim._peer_of[int(slot)]
-        former_neighbors = sim._tracker.leave(peer_id)
+        sim._tracker.leave(peer_id)
         sim._evict(peer_id)
         sim.leaves += 1
-        for neighbor in former_neighbors:
-            refresh_neighbor(neighbor)
     arrivals = rng.poisson(churn.arrival_rate * dt)
     for _ in range(int(arrivals)):
         peer_id = sim._tracker.join()
         admit(peer_id)
         sim.joins += 1
+    touched = sim._tracker.take_touched()
+    if touched:
+        refresh_rows(touched)
 
 
 def apply_income_taxation(sim, income: np.ndarray, now: float) -> None:

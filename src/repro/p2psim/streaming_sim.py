@@ -391,9 +391,8 @@ class StreamingMarketSimulator:
         # so refresh-once-at-the-end yields bit-identical rows.
         initial_peers = self.topology.peers()
         for peer_id in initial_peers:
-            self._admit(peer_id, refresh=False)
-        for peer_id in initial_peers:
-            self._refresh_neighbors(peer_id)
+            self._admit(peer_id)
+        self._refresh_neighbor_rows(initial_peers)
         # Build the stream pack eagerly: construction cost, not tick cost.
         self._stream_pack()
         emitter = get_emitter()
@@ -456,12 +455,12 @@ class StreamingMarketSimulator:
         )
         self._capacity = new_capacity
 
-    def _admit(self, peer_id: int, refresh: bool = True) -> int:
+    def _admit(self, peer_id: int) -> int:
         """Create simulator state for ``peer_id`` (already present in the topology).
 
-        ``refresh=False`` skips the neighbour-row derivation (and the
-        re-derivation of already-admitted neighbours); the bulk admission
-        path in ``__init__`` refreshes every row exactly once instead.
+        No neighbour row is derived here: construction and churn each
+        re-derive the rows they affect, the new peer's included, in one
+        :meth:`_refresh_neighbor_rows` call.
         """
         if not self._free_slots:
             self._grow_capacity()
@@ -484,11 +483,6 @@ class StreamingMarketSimulator:
         if self._shard_of_slot is not None:
             self._shard_of_slot[slot] = self._shard_plan.shard_of_peer(peer_id)
         self._fill_price_row(slot)
-        if refresh:
-            self._refresh_neighbors(peer_id)
-            for neighbor in self.topology.neighbors(peer_id):
-                if neighbor in self._slot_of:
-                    self._refresh_neighbors(neighbor)
         return slot
 
     def _evict(self, peer_id: int) -> None:
@@ -514,20 +508,24 @@ class StreamingMarketSimulator:
         self._free_slots.append(slot)
         self._pack = None
 
-    def _refresh_neighbors(self, peer_id: int) -> None:
-        """Recompute one peer's compacted neighbour-slot row."""
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
+    def _refresh_neighbor_rows(self, peer_ids: Sequence[int]) -> None:
+        """Recompute the compacted neighbour-slot rows of ``peer_ids``.
+
+        A row lists the admitted neighbours' slots in ascending order, as
+        :meth:`~repro.overlay.topology.OverlayTopology.csr_adjacency` over
+        the slot map gives them; peers without a slot (not admitted, or
+        departed) are skipped.
+        """
+        peers = [peer for peer in peer_ids if peer in self._slot_of]
+        if not peers:
             return
+        row_start, slots = self.topology.csr_adjacency(peers, columns=self._slot_of)
+        slots = slots.astype(self.config.options.index_dtype, copy=False)
+        bounds = row_start.tolist()
+        for row, peer in enumerate(peers):
+            # A copy, so a surviving row never pins the whole pass.
+            self._neighbors[self._slot_of[peer]] = slots[bounds[row] : bounds[row + 1]].copy()
         self._pack = None
-        neighbor_slots = sorted(
-            self._slot_of[neighbor]
-            for neighbor in self.topology.neighbors(peer_id)
-            if neighbor in self._slot_of
-        )
-        self._neighbors[slot] = np.array(
-            neighbor_slots, dtype=self.config.options.index_dtype
-        )
 
     def _stream_pack(self) -> _StreamPack:
         """Return the CSR neighbour arrays of the alive population.
@@ -559,7 +557,10 @@ class StreamingMarketSimulator:
 
     def _apply_churn(self, dt: float) -> None:
         apply_round_churn(
-            self, dt, admit=self._admit, refresh_neighbor=self._refresh_neighbors
+            self,
+            dt,
+            admit=self._admit,
+            refresh_rows=self._refresh_neighbor_rows,
         )
 
     # ------------------------------------------------------------------ stream window

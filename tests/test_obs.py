@@ -9,6 +9,7 @@ lifecycle events through the active emitter.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,49 @@ class TestSimulatorTelemetry:
         assert sink.gauges()["market.steps_per_second"] > 0.0
         kernel = sink.spans()["market.kernel.vectorized"]
         assert 1 <= kernel["count"] <= 40
+
+    MARKET_PHASES = ("draw", "expand", "locate", "settle")
+
+    def test_market_phases_cover_each_observed_round(self):
+        sink = MemorySink()
+        simulator = CreditMarketSimulator(_market_config())
+        rounds = []
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            for _ in range(10):
+                started = time.perf_counter()
+                simulator.advance_rounds(1)
+                rounds.append(time.perf_counter() - started)
+        events = sink.span_events()
+        phases = {
+            phase: [e["duration"] for e in events if e["name"] == "market.phase." + phase]
+            for phase in self.MARKET_PHASES
+        }
+        for durations in phases.values():
+            assert len(durations) == 10
+        for index, elapsed in enumerate(rounds):
+            spent = sum(durations[index] for durations in phases.values())
+            assert 0.0 <= spent <= elapsed
+
+    @pytest.mark.parametrize(
+        "options",
+        [KernelOptions(kernel="loop"), KernelOptions(kernel="vectorized", telemetry=False)],
+    )
+    def test_market_phases_only_from_observed_vectorized_kernel(self, options):
+        sink = MemorySink()
+        config = dataclasses.replace(_market_config(rounds=5), options=options)
+        simulator = CreditMarketSimulator(config)
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            simulator.advance_rounds(5)
+        assert simulator.total_transfers > 0
+        assert not any(name.startswith("market.phase.") for name in sink.spans())
+
+    def test_market_phases_need_an_enabled_emitter(self):
+        simulator = CreditMarketSimulator(_market_config(rounds=5))
+        sink = MemorySink()
+        with use_emitter(MetricsEmitter(sinks=[sink], enabled=False)):
+            simulator.advance_rounds(5)
+        assert simulator.total_transfers > 0
+        assert sink.span_events() == []
 
     def test_streaming_run_is_byte_identical_under_telemetry(self):
         plain = StreamingMarketSimulator(_streaming_config())

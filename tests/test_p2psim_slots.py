@@ -142,7 +142,7 @@ class TestRoundChurn:
     def test_static_overlay_draws_nothing(self, kind):
         sim = simulator(kind)
         state = sim._rng.bit_generator.state
-        apply_round_churn(sim, 1.0, admit=None, refresh_neighbor=None)
+        apply_round_churn(sim, 1.0, admit=None, refresh_rows=None)
         assert sim._rng.bit_generator.state == state
         sim.advance_rounds(50)
         assert sim.joins == sim.leaves == 0
