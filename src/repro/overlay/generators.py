@@ -6,10 +6,19 @@ of 20 neighbours.  :func:`scale_free_topology` reproduces exactly that
 parameterisation via a degree-targeted configuration model; the other
 generators (Barabási–Albert, Erdős–Rényi, random-regular, ring, complete)
 support ablations and baselines.
+
+The configuration model is realised with array operations at every size:
+no per-edge Python or networkx objects.  Below
+:data:`LARGE_OVERLAY_THRESHOLD` peers it reproduces
+``networkx.configuration_model`` exactly — same edges, same peer order,
+same neighbour-set iteration order — so seeded overlays match the ones
+networkx built; at or above it the stubs are shuffled by the NumPy
+generator instead.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 import networkx as nx
@@ -127,12 +136,50 @@ def powerlaw_degree_sequence(
     return degrees
 
 
-#: Population size at which :func:`powerlaw_configuration_topology` switches
-#: from the networkx configuration model to the array-based stub pairing.
-#: Both realise the same distribution, but they consume randomness
-#: differently, so the switch sits far above every seeded golden topology
-#: (paper-scale runs use N ≤ 10^4) to keep those bit-identical.
+#: Population size at which :func:`powerlaw_configuration_topology` stops
+#: shuffling the stubs with a Python Mersenne Twister (as
+#: ``networkx.configuration_model`` does) and shuffles them with
+#: ``rng.permutation`` instead.  Both sides pair stubs with arrays and
+#: realise the same distribution, but they consume randomness differently,
+#: so the switch sits far above every seeded golden topology (paper-scale
+#: runs use N ≤ 10^4) to keep those bit-identical.
 LARGE_OVERLAY_THRESHOLD = 50_000
+
+
+def _configuration_topology(degrees: np.ndarray, seed: int) -> OverlayTopology:
+    """The overlay ``networkx.configuration_model(degrees, seed)`` yields, via arrays.
+
+    Matches what ``nx.Graph`` of that multigraph, minus its self-loops,
+    gives through :meth:`OverlayTopology.from_networkx`: the same edges,
+    peers ``0..N-1`` in order, and the same iteration order of every
+    neighbour set.  The stub list is shuffled by ``random.Random(seed)``
+    as networkx does, and ``stubs[:half]`` is paired with
+    ``stubs[half:]``.  Self-loops are dropped and each undirected pair
+    keeps its first occurrence.  networkx inserts a peer's neighbours
+    with lower ids first, ascending, then those with higher ids in the
+    order their pairs first occur; each set is filled in that order.
+    ``degrees`` must have an even sum.
+    """
+    num_peers = len(degrees)
+    stubs = np.repeat(np.arange(num_peers, dtype=np.int64), degrees).tolist()
+    random.Random(seed).shuffle(stubs)
+    paired = np.array(stubs, dtype=np.int64)
+    half = paired.size // 2
+    src, dst = paired[:half], paired[half:]
+    keep = src != dst
+    lo = np.minimum(src, dst)[keep]
+    hi = np.maximum(src, dst)[keep]
+    keys = lo * num_peers + hi
+    by_key = np.argsort(keys, kind="stable")
+    distinct = np.ones(by_key.size, dtype=bool)
+    np.not_equal(keys[by_key[1:]], keys[by_key[:-1]], out=distinct[1:])
+    first = by_key[distinct]  # each pair's first occurrence, in key order
+    in_order = np.sort(first)  # the same pairs in order of occurrence
+    return OverlayTopology._from_neighbor_entries(
+        num_peers,
+        np.concatenate([hi[first], lo[in_order]]),
+        np.concatenate([lo[first], hi[in_order]]),
+    )
 
 
 def powerlaw_configuration_topology(
@@ -149,14 +196,14 @@ def powerlaw_configuration_topology(
     peers (isolated peers get an edge to a random well-connected peer), so
     the result is always a simple connected overlay.
 
-    Below :data:`LARGE_OVERLAY_THRESHOLD` peers the realisation goes through
-    ``networkx.configuration_model`` (unchanged historical path, so seeded
-    topologies stay bit-identical); at or above it the same stub-pairing
-    model runs as pure array operations — shuffle the stub multiset, pair
-    consecutive stubs, bulk-load via
-    :meth:`~repro.overlay.topology.OverlayTopology.from_edge_arrays` — which
-    builds a million-peer overlay in seconds instead of tens of minutes of
-    per-edge Python/networkx object churn.
+    Both sides of :data:`LARGE_OVERLAY_THRESHOLD` pair stubs with array
+    operations.  Below it the stubs are shuffled by a Python Mersenne
+    Twister seeded from ``rng``, and the overlay is exactly the one
+    ``networkx.configuration_model`` builds from that seed (see
+    :func:`_configuration_topology`), so seeded topologies stay
+    bit-identical.  At or above it ``rng.permutation`` shuffles the stub
+    multiset, consecutive stubs are paired and the edges are bulk-loaded
+    via :meth:`~repro.overlay.topology.OverlayTopology.from_edge_arrays`.
     """
     rng = make_rng(seed, "configuration-model")
     degrees = powerlaw_degree_sequence(
@@ -167,12 +214,7 @@ def powerlaw_configuration_topology(
         stubs = rng.permutation(stubs)
         topo = OverlayTopology.from_edge_arrays(num_peers, stubs[0::2], stubs[1::2])
     else:
-        graph = nx.configuration_model(
-            degrees.tolist(), seed=int(rng.integers(2**31 - 1))
-        )
-        graph = nx.Graph(graph)  # drop parallel edges
-        graph.remove_edges_from(nx.selfloop_edges(graph))
-        topo = OverlayTopology.from_networkx(graph)
+        topo = _configuration_topology(degrees, int(rng.integers(2**31 - 1)))
     _patch_connectivity(topo, rng)
     return topo
 
@@ -248,15 +290,44 @@ def complete_topology(num_peers: int) -> OverlayTopology:
 
 
 def _patch_connectivity(topo: OverlayTopology, rng: np.random.Generator) -> None:
-    """Connect all components to the largest one with single random edges."""
+    """Connect all components to the largest one with single random edges.
+
+    Components are merged in order, each by one edge from its ``k``-th
+    smallest peer to the ``j``-th smallest peer merged so far (``k`` and
+    ``j`` drawn from ``rng``).  A Fenwick tree of member counts over the
+    sorted peer ids finds the ``j``-th smallest member in O(log N), so
+    the merged set is never re-sorted.
+    """
     components = topo.connected_components()
     if len(components) <= 1:
         return
-    main = components[0]
-    main_list = sorted(main)
+    peers = topo.peers()
+    rank = dict(zip(peers, range(len(peers))))
+    size = len(peers)
+    # tree[i] counts the members among ranks (i - lowbit(i), i], 1-based.
+    members = np.zeros(size + 1, dtype=np.int64)
+    members[[rank[peer] + 1 for peer in components[0]]] = 1
+    prefix = np.cumsum(members)
+    index = np.arange(size + 1)
+    tree = (prefix - prefix[index - (index & -index)]).tolist()
+    merged = len(components[0])
+    top = 1 << (size.bit_length() - 1)
     for component in components[1:]:
         source = sorted(component)[int(rng.integers(len(component)))]
-        target = main_list[int(rng.integers(len(main_list)))]
-        topo.add_edge(source, target)
-        main.update(component)
-        main_list = sorted(main)
+        # Descend the tree to the rank holding the (j + 1)-th member.
+        remaining = int(rng.integers(merged)) + 1
+        position = 0
+        step = top
+        while step:
+            probe = position + step
+            if probe <= size and tree[probe] < remaining:
+                position = probe
+                remaining -= tree[probe]
+            step >>= 1
+        topo.add_edge(source, peers[position])
+        for peer in component:
+            node = rank[peer] + 1
+            while node <= size:
+                tree[node] += 1
+                node += node & -node
+        merged += len(component)

@@ -123,16 +123,39 @@ class OverlayTopology:
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         unique_keys = keys[distinct]
         lo, hi = unique_keys // num_peers, unique_keys % num_peers
+        # Each peer's higher neighbours ascending, then its lower ones.
+        return cls._from_neighbor_entries(
+            num_peers, np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        )
+
+    @classmethod
+    def _from_neighbor_entries(
+        cls, num_peers: int, owner: np.ndarray, other: np.ndarray
+    ) -> "OverlayTopology":
+        """Peers ``0..num_peers-1`` whose sets receive ``other[i]`` for ``owner[i]``.
+
+        ``owner``/``other`` list every undirected edge once in each
+        direction, without self-loops or duplicates.  Each peer's set is
+        filled in the order its entries appear, which fixes the set's
+        iteration order: CPython sets iterate in hash-slot order, and ids
+        that collide in a slot keep their insertion order.  One stable
+        sort groups the entries by owner, then one C-level ``set()`` call
+        builds each peer's set.
+        """
+        order = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(owner[order], np.arange(num_peers + 1)).tolist()
+        grouped = other[order]
+        # Only the grouped copy stays alive while the Python lists build
+        # (this pass sets the peak RSS of a large overlay's generation).
+        del owner, other, order
+        others = grouped.tolist()
+        del grouped
         topo = cls()
-        endpoint = np.concatenate([lo, hi])
-        order = np.argsort(endpoint, kind="stable")
-        others = np.concatenate([hi, lo])[order].tolist()
-        bounds = np.searchsorted(endpoint[order], np.arange(num_peers + 1)).tolist()
         topo._adjacency = {
             peer: set(others[bounds[peer] : bounds[peer + 1]])
             for peer in range(num_peers)
         }
-        topo._edge_count = int(unique_keys.size)
+        topo._edge_count = len(others) // 2
         return topo
 
     @classmethod

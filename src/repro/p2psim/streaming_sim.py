@@ -1054,9 +1054,19 @@ class StreamingMarketSimulator:
             emitter.gauge("streaming.ticks_per_second", rounds / elapsed)
 
     def _advance_tick(self, dt: float, stateful_pricing: bool) -> None:
-        """Execute one scheduling tick (churn, emission, scheduling, settlement)."""
+        """Execute one scheduling tick (churn, emission, scheduling, settlement).
+
+        With telemetry on, the monolithic vectorized path also times the
+        tick around its kernel as ``streaming.phase.{emit,settle,playback}``
+        (churn stays outside the phases, as in the market).
+        """
         config = self.config
+        options = config.options
+        emitter = get_emitter()
+        observing = emitter.enabled and options.telemetry
+        phased = observing and options.kernel == "vectorized" and self._shard_plan is None
         self._apply_churn(dt)
+        mark = time.perf_counter() if phased else 0.0
         self._emit_due_chunks()
         if stateful_pricing:
             config.pricing.reset_round()
@@ -1064,12 +1074,11 @@ class StreamingMarketSimulator:
         pack = self._stream_pack()
         balances = self._balance[pack.alive_slots]
         uniforms = self._rng.random((pack.alive_slots.size, config.playback_window))
-        options = config.options
+        if phased:
+            _emit_phase(emitter, "emit", mark)
         kernel = (
             self._schedule_loop if options.kernel == "loop" else self._schedule_vectorized
         )
-        emitter = get_emitter()
-        observing = emitter.enabled and options.telemetry
         args = (pack, balances, uniforms, self._win_base, self._emitted - 1)
         if observing:
             with emitter.span("streaming.kernel." + options.kernel):
@@ -1086,9 +1095,14 @@ class StreamingMarketSimulator:
                 )
             )
             emitter.counter("streaming.shard.boundary_chunks", float(boundary))
+        mark = time.perf_counter() if phased else 0.0
         self._settle(pack, buyers, sellers, chunk_abs, prices)
+        if phased:
+            mark = _emit_phase(emitter, "settle", mark)
         self._advance_playback(pack, dt)
         self._apply_deliveries()
+        if phased:
+            _emit_phase(emitter, "playback", mark)
 
     def finalize(self) -> StreamingSimResult:
         """Record the final sample and assemble the run's result."""

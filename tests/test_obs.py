@@ -300,6 +300,56 @@ class TestSimulatorTelemetry:
         assert simulator.chunks_delivered > 0
         assert not any(name.startswith("streaming.phase.") for name in sink.spans())
 
+    TICK_PHASES = ("emit", "settle", "playback")
+
+    def test_streaming_tick_phases_cover_each_observed_tick(self):
+        sink = MemorySink()
+        simulator = StreamingMarketSimulator(_streaming_config(ticks=10))
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            simulator.advance_rounds(10)
+        events = sink.span_events()
+        ticks = [e for e in events if e["name"] == "streaming.tick"]
+        phases = {
+            phase: [e for e in events if e["name"] == "streaming.phase." + phase]
+            for phase in self.TICK_PHASES + ("mask", "resolve", "greedy", "admit")
+        }
+        for phase in self.TICK_PHASES:
+            assert len(phases[phase]) == len(ticks) == 10
+            for event in phases[phase]:
+                assert (event["depth"], event["parent"]) == (1, "streaming.tick")
+        for index, tick in enumerate(ticks):
+            spent = sum(events[index]["duration"] for events in phases.values())
+            assert 0.0 <= spent <= tick["duration"]
+
+    @pytest.mark.parametrize(
+        "options, plan",
+        [
+            (KernelOptions(kernel="loop"), None),
+            (KernelOptions(kernel="vectorized", telemetry=False), None),
+            (KernelOptions(kernel="vectorized"), ExecutionPlan(shards=2)),
+        ],
+    )
+    def test_streaming_tick_phases_only_from_monolithic_vectorized_ticks(
+        self, options, plan
+    ):
+        sink = MemorySink()
+        config = dataclasses.replace(_streaming_config(ticks=5), options=options)
+        simulator = StreamingMarketSimulator(config, plan=plan)
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            simulator.advance_rounds(5)
+        assert simulator.chunks_delivered > 0
+        assert (simulator._shard_plan is None) == (plan is None)
+        spans = sink.spans()
+        assert not any("streaming.phase." + phase in spans for phase in self.TICK_PHASES)
+
+    def test_streaming_phases_need_an_enabled_emitter(self):
+        simulator = StreamingMarketSimulator(_streaming_config(ticks=5))
+        sink = MemorySink()
+        with use_emitter(MetricsEmitter(sinks=[sink], enabled=False)):
+            simulator.advance_rounds(5)
+        assert simulator.chunks_delivered > 0
+        assert sink.span_events() == []
+
 
 class TestRunnerTelemetry:
     SPEC = SweepSpec(

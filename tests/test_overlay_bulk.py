@@ -127,6 +127,24 @@ class TestGeneratedOverlaysUnchanged:
         assert edge_digest(topology) == digest
 
 
+    @pytest.mark.parametrize(
+        "num_peers, edges, digest",
+        [
+            (20_000, 22832, "0da7994d8919d45991d0e33dba5e1236"),
+            (LARGE_OVERLAY_THRESHOLD, 56133, "62774c42c6af8dd4e45b0dcc38ae4eb5"),
+        ],
+    )
+    def test_large_fragmented_overlays_patch_identically(self, num_peers, edges, digest):
+        # Thousands of components on each side of the threshold: the patch
+        # must make the same draws as the one that re-sorted the merged set.
+        topology = generators.powerlaw_configuration_topology(
+            num_peers, mean_degree=1.5, min_degree=1, seed=5
+        )
+        assert topology.is_connected()
+        assert topology.num_edges == edges
+        assert edge_digest(topology) == digest
+
+
 class TestFromEdgeArrays:
     def test_matches_np_unique_dedup(self):
         rng = np.random.default_rng(1)
