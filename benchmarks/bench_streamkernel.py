@@ -20,6 +20,12 @@ Two profiles share one recording format:
   against the committed baseline (>30% throughput regression of *either*
   kernel fails).
 
+Every vectorized cell also records where its tick goes: a ``phases`` map
+(median ms per tick and share of the tick's total time for each
+``streaming.phase.*`` timing), taken from one extra run under an enabled
+emitter so the timed runs stay unobserved.  Every timed cell records the
+min/median/max of its repeats next to the best-of throughput.
+
 ``REPRO_BENCH_STREAMKERNEL_OUT`` redirects the output file (CI writes to
 a scratch path so the committed baseline stays pristine).
 
@@ -41,6 +47,7 @@ import contextlib
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -81,6 +88,9 @@ REPEATS = {"loop": 2, "vectorized": 4}
 #: much tighter best-of estimate than the 30% cross-run baseline gate, so
 #: both sides of every pair are measured at least this many times.
 TELEMETRY_REPEATS = 5
+
+#: The streaming tick's phase timings, in tick order.
+PHASES = ("emit", "mask", "resolve", "greedy", "admit", "settle", "playback")
 
 
 def _config(num_peers: int, ticks: int, kernel: str) -> StreamingSimConfig:
@@ -129,6 +139,43 @@ def _timed_run(num_peers: int, ticks: int, kernel: str, scope) -> dict:
     }
 
 
+def _spread(rates: list) -> dict:
+    """Min/median/max of one cell's repeat throughputs."""
+    return {
+        "min": round(min(rates), 2),
+        "median": round(statistics.median(rates), 2),
+        "max": round(max(rates), 2),
+    }
+
+
+def _phase_profile(num_peers: int, ticks: int) -> dict:
+    """Per-phase breakdown of the vectorized tick from one extra observed run.
+
+    ``tick_ms`` is the median observed tick; each phase maps to its median
+    ms per tick and its share of the total tick time (churn, the only tick
+    work outside the phases, is off here).
+    """
+    sink = MemorySink()
+    simulator = StreamingMarketSimulator(_config(num_peers, ticks, "vectorized"))
+    with use_emitter(MetricsEmitter(sinks=[sink])):
+        simulator.advance_rounds(ticks)
+    durations: dict = {}
+    for event in sink.span_events():
+        durations.setdefault(event["name"], []).append(float(event["duration"]))
+    tick_total = sum(durations["streaming.tick"])
+    phases = {}
+    for phase in PHASES:
+        values = durations["streaming.phase." + phase]
+        phases[phase] = {
+            "ms": round(1e3 * statistics.median(values), 3),
+            "share": round(sum(values) / tick_total, 4),
+        }
+    return {
+        "tick_ms": round(1e3 * statistics.median(durations["streaming.tick"]), 3),
+        "phases": phases,
+    }
+
+
 def _measure(num_peers: int, ticks: int, kernel: str) -> dict:
     """Best-of-``REPEATS[kernel]`` timing of one (population, kernel) cell.
 
@@ -142,14 +189,17 @@ def _measure(num_peers: int, ticks: int, kernel: str) -> dict:
     repeats = max(REPEATS[kernel], TELEMETRY_REPEATS) if telemetry else REPEATS[kernel]
     best = None
     best_disabled = None
+    rates = []
     for _ in range(repeats):
         if telemetry:
             run = _timed_run(num_peers, ticks, kernel, contextlib.nullcontext())
             if best_disabled is None or run["seconds"] < best_disabled["seconds"]:
                 best_disabled = run
         run = _timed_run(num_peers, ticks, kernel, _telemetry_scope())
+        rates.append(run["ticks_per_second"])
         if best is None or run["seconds"] < best["seconds"]:
             best = run
+    best["spread"] = _spread(rates)
     if telemetry:
         assert best["fingerprint"] == best_disabled["fingerprint"], (
             f"telemetry changed the {kernel} kernel's end state at {num_peers} peers"
@@ -188,6 +238,9 @@ def test_streamkernel_throughput():
                 / measured["loop"]["ticks_per_second"],
                 3,
             ),
+            "loop_ticks_per_second_spread": measured["loop"]["spread"],
+            "vectorized_ticks_per_second_spread": measured["vectorized"]["spread"],
+            **_phase_profile(num_peers, ticks),
         }
         if _telemetry_enabled():
             entry["disabled_loop_ticks_per_second"] = round(
@@ -199,17 +252,21 @@ def test_streamkernel_throughput():
         populations.append(entry)
 
     for num_peers, ticks in SCALING[profile]:
-        best = None
-        for _ in range(REPEATS["vectorized"]):
-            run = _timed_run(num_peers, ticks, "vectorized", contextlib.nullcontext())
-            if best is None or run["seconds"] < best["seconds"]:
-                best = run
+        runs = [
+            _timed_run(num_peers, ticks, "vectorized", contextlib.nullcontext())
+            for _ in range(REPEATS["vectorized"])
+        ]
+        best = min(runs, key=lambda run: run["seconds"])
         populations.append(
             {
                 "num_peers": num_peers,
                 "ticks": ticks,
                 "chunks": best["chunks"],
                 "vectorized_ticks_per_second": round(best["ticks_per_second"], 2),
+                "vectorized_ticks_per_second_spread": _spread(
+                    [run["ticks_per_second"] for run in runs]
+                ),
+                **_phase_profile(num_peers, ticks),
             }
         )
 

@@ -33,7 +33,11 @@ one scheduling interval: peer state lives in slot-indexed numpy arrays
 behind an alive mask, chunk availability is a sliding boolean window over
 the live stream, and the whole scheduling round — candidate scoring,
 supplier choice, upload-slot admission — executes as one batched kernel
-over all alive peers.
+over all alive peers.  The vectorized round first packs the availability
+window into ``uint64`` words and ORs them over every peer's neighbours, so
+it resolves suppliers only for the chunks a peer lacks and some neighbour
+can actually sell; the budget walk and upload admission then run on those
+resolved requests alone.
 
 Two kernels implement the identical round semantics and consume the
 identical random draws (one tie-break uniform per (peer, window-position)
@@ -95,6 +99,60 @@ _EPS = 1e-12
 _EDGE_BLOCK = 1 << 16
 
 
+def _pack_availability(have: np.ndarray) -> np.ndarray:
+    """Pack a boolean availability matrix into ``uint64`` words per row.
+
+    Bit ``c % 64`` of word ``c // 64`` in row ``r`` is ``have[r, c]``
+    (little-endian bit order); rows are padded to whole words, so width 120
+    takes two words per slot.  PyPPSPP's ``Swarm.set_have`` keeps chunk
+    maps the same way; here the packed copy is rebuilt per tick and the
+    boolean matrix stays the state.
+    """
+    rows, width = have.shape
+    num_words = -(-width // 64)
+    packed = np.zeros((rows, 8 * num_words), dtype=np.uint8)
+    if width % 8 == 0:  # whole bytes per row: pack the flat buffer, much faster
+        bits = np.packbits(have.reshape(-1), bitorder="little").reshape(rows, -1)
+    else:
+        bits = np.packbits(have, axis=1, bitorder="little")
+    packed[:, : bits.shape[1]] = bits
+    return packed.view(np.uint64)
+
+
+def _unpack_availability(words: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_availability`: a ``rows × width`` boolean matrix."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little")
+    return bits.view(bool)
+
+
+def _neighbour_availability(
+    words: np.ndarray, row_start: np.ndarray, edge_dst: np.ndarray
+) -> np.ndarray:
+    """Packed union of each pack row's neighbours' availability words.
+
+    ``words`` is :func:`_pack_availability` of the slot-indexed
+    availability matrix; row ``r`` of the result ORs the words of the slots
+    in its edge segment ``edge_dst[row_start[r]:row_start[r+1]]``, so a bit
+    is set exactly when some neighbour holds that column.  Each word column
+    costs one gather and one segmented reduction over the edges, instead of
+    one test per (cell, neighbour) pair.  Rows without neighbours hold
+    nothing.
+    """
+    count = row_start.size - 1
+    reach = np.zeros((count, words.shape[1]), dtype=np.uint64)
+    # ``reduceat`` yields an element, not the OR identity, for an empty
+    # segment, and rejects a start equal to ``edge_dst.size``: reduce over
+    # the non-empty segments only.  Degree-0 rows, trailing ones included,
+    # add no edges between them, and an edgeless pack (heavy churn) has no
+    # segment to reduce at all.
+    heads = row_start[:-1]
+    linked = np.flatnonzero(row_start[1:] > heads)
+    starts = heads[linked]
+    for word, column in enumerate(np.ascontiguousarray(words.T)):
+        reach[linked, word] = np.bitwise_or.reduceat(column[edge_dst], starts)
+    return reach
+
+
 def _choose_suppliers_for_cells(
     have: np.ndarray,
     price_win: np.ndarray,
@@ -107,7 +165,7 @@ def _choose_suppliers_for_cells(
     seg_len: np.ndarray,
     choice: str,
     sel: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Resolve the supplier choice for the candidate cells listed in ``sel``.
 
     The segmented-expansion core of the vectorized scheduling kernel,
@@ -115,14 +173,14 @@ def _choose_suppliers_for_cells(
     shard executor can run disjoint cell subsets concurrently (each cell's
     supplier depends only on its own edge segment, so any partition of the
     cells — like any ``_EDGE_BLOCK`` blocking — produces bit-identical
-    results).  Returns ``(chosen, resolved)`` aligned with ``sel``.  Every
-    selected cell's edge segment must be non-empty (``seg_len > 0``).
+    results).  Returns the chosen supplier slot of every cell, aligned with
+    ``sel``.  Every selected cell must be reachable: some neighbour in its
+    edge segment holds its column (see :func:`_neighbour_availability`).
     """
     n = sel.size
     chosen = np.zeros(n, dtype=np.int64)
-    resolved = np.zeros(n, dtype=bool)
     if n == 0:
-        return chosen, resolved
+        return chosen
     sub_rows = cand_rows[sel]
     sub_cols = cand_cols[sel]
     sub_u = cand_u[sel]
@@ -160,13 +218,68 @@ def _choose_suppliers_for_cells(
         pick = np.minimum(pick, tie_count - 1)  # u*cnt can round up to cnt
         # The chosen supplier is the loop kernel's ``ties[pick]``: tie number
         # ``first_tie + pick`` of the block, ties taken in neighbour order.
-        ok = tie_count > 0
+        # Every cell is reachable, so every ``tie_count`` is positive.
         first_tie = np.cumsum(tie_count) - tie_count
-        ties = np.flatnonzero(tie)
-        chosen[block][ok] = dst[ties[first_tie[ok] + pick[ok]]]
-        resolved[block] = ok
+        chosen[block] = dst[np.flatnonzero(tie)[first_tie + pick]]
         lo_cell = hi_cell
-    return chosen, resolved
+    return chosen
+
+
+def _greedy_requests(
+    cell_rows: np.ndarray, price: np.ndarray, budget: np.ndarray, max_requests: int
+) -> np.ndarray:
+    """Indices of the cells each row buys under its budget, in global order.
+
+    ``cell_rows`` lists the resolved cells' pack rows in row-major (global)
+    order and ``price`` their quotes; ``budget`` (one entry per row) is
+    spent in place.  Each of at most ``max_requests`` passes takes, for
+    every row, its first open cell with ``price <= budget + _EPS``.
+    Budgets only decrease, so a cell that fails the test once can never
+    pass it later: each pass drops those cells with the taken ones, and
+    the passes reproduce the sequential "scan once, skip unaffordable"
+    rule exactly.  A row's picks rise in window position, so the taken
+    cells in index order are the global request order.
+    """
+    taken = np.zeros(cell_rows.size, dtype=bool)
+    open_cells = np.arange(cell_rows.size)
+    rows = cell_rows
+    for _ in range(max_requests):
+        affordable = price[open_cells] <= budget[rows] + _EPS
+        open_cells = open_cells[affordable]
+        rows = rows[affordable]
+        if open_cells.size == 0:
+            break
+        # Run heads of the row array: each row's first affordable cell.
+        first = np.empty(rows.size, dtype=bool)
+        first[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        picked = open_cells[first]
+        taken[picked] = True
+        budget[rows[first]] -= price[picked]
+        open_cells = open_cells[~first]
+        rows = rows[~first]
+    return np.flatnonzero(taken)
+
+
+def _admit_uploads(sellers: np.ndarray, capacity: int) -> np.ndarray:
+    """Upload-slot admission: within each seller, the first ``capacity`` requests win.
+
+    ``sellers`` lists the requests' seller slots in global order.  One sort
+    of the unique keys ``seller * n + position`` groups the requests by
+    seller and keeps each group in global order — the order a stable
+    argsort of ``sellers`` gives — so a request's rank within its seller
+    is its distance from the group's head.
+    """
+    n = sellers.size
+    keys = np.sort(sellers * n + np.arange(n))
+    grouped = keys // n
+    head = np.ones(n, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+    position = np.arange(n)
+    rank = position - np.maximum.accumulate(np.where(head, position, 0))
+    admitted = np.empty(n, dtype=bool)
+    admitted[keys - grouped * n] = rank < capacity
+    return admitted
 
 
 def _emit_phase(emitter: MetricsEmitter, phase: str, since: float) -> float:
@@ -641,8 +754,18 @@ class StreamingMarketSimulator:
         Implements exactly the per-peer semantics of ``_schedule_loop`` —
         same candidate order, same supplier tie-breaks (cell ``(r, w)``
         spends uniform ``uniforms[r, w]``), same greedy budget rule, same
-        global admission order — as pure array operations.  With telemetry
-        on, each phase is emitted as a ``streaming.phase.<name>`` timing.
+        global admission order — as pure array operations, doing only the
+        work that can change the result:
+
+        * ``mask``: the cells a peer lacks *and* some neighbour holds, from
+          packed availability words OR-reduced over each neighbour segment
+          (the loop kernel skips the other cells, having no supplier);
+        * ``resolve``: the segmented supplier choice over those cells only;
+        * ``greedy``: the budget walk over the resolved cells' 1-D arrays;
+        * ``admit``: upload-slot ranks within each seller from one sort.
+
+        With telemetry on, each phase is emitted as a
+        ``streaming.phase.<name>`` timing.
         """
         config = self.config
         window = config.playback_window
@@ -655,73 +778,66 @@ class StreamingMarketSimulator:
         mark = time.perf_counter() if observing else 0.0
 
         slots = pack.alive_slots
-        abs_idx = self._pb_next[slots][:, None] + np.arange(window)[None, :]
-        valid = (abs_idx >= base) & (abs_idx <= live_edge)
-        cols = np.clip(abs_idx - base, 0, self._win_width - 1)
-        own = self._have[slots[:, None], cols]
-        candidate = valid & ~own & (pack.degrees > 0)[:, None]
+        width = self._win_width
+        # Cells a peer lacks and some neighbour holds, as one packed pass:
+        # a cell no neighbour can serve never resolves a supplier, so the
+        # reachability prefilter drops it before the per-edge expansion
+        # (with every cell of a neighbourless peer).
+        words = _pack_availability(self._have)
+        fetch_words = _neighbour_availability(words, pack.row_start, pack.edge_dst)
+        fetch_words &= ~words[slots]
+        # Each peer's want window is the ``window`` columns from its
+        # playback point.  Framing the emitted columns in ``window`` empty
+        # columns on both sides makes every window a plain slice, with the
+        # positions before the base or past the live edge already clear.
+        live_cols = live_edge - base + 1
+        framed = np.zeros((count, width + 2 * window), dtype=bool)
+        framed[:, window : window + live_cols] = _unpack_availability(
+            fetch_words, width
+        )[:, :live_cols]
+        start = self._pb_next[slots] - base
+        windows = np.lib.stride_tricks.sliding_window_view(framed, window, axis=1)
+        candidate = windows[np.arange(count), np.clip(start, -window, width) + window]
+        cells = np.flatnonzero(candidate)  # row-major = global order
+        cand_rows = cells // window
+        cand_cols = start[cand_rows] + (cells - cand_rows * window)
         if observing:
             mark = _emit_phase(emitter, "mask", mark)
 
         # Supplier choice for every candidate (peer, window-position) cell,
         # via a segmented expansion over each candidate peer's edge list.
-        # Cost scales with the degree mass of the *candidate* cells — a
+        # Cost scales with the degree mass of the candidate cells — a
         # scale-free hub only pays its own degree where it is actually
-        # missing a chunk, never as padding on every other peer.
-        price = np.full((count, window), np.inf)
-        supplier = np.zeros((count, window), dtype=np.int64)
-        cand_rows, cand_ws = np.nonzero(candidate)
-        if cand_rows.size:
-            cand_cols = cols[cand_rows, cand_ws]
-            seg_len = pack.degrees[cand_rows]
-            cand_u = uniforms[cand_rows, cand_ws]
-            chosen, resolved = self._resolve_suppliers(
-                pack, cand_rows, cand_cols, cand_u, seg_len, config.supplier_choice
-            )
-            rows_ok = cand_rows[resolved]
-            ws_ok = cand_ws[resolved]
-            supplier[rows_ok, ws_ok] = chosen[resolved]
-            price[rows_ok, ws_ok] = self._price_win[chosen[resolved], cand_cols[resolved]]
+        # missing a chunk some neighbour holds, never as padding on every
+        # other peer.
+        chosen = self._resolve_suppliers(
+            pack,
+            cand_rows,
+            cand_cols,
+            uniforms.reshape(-1)[cells],
+            pack.degrees[cand_rows],
+            config.supplier_choice,
+        )
+        price = self._price_win[chosen, cand_cols].astype(np.float64, copy=False)
         if observing:
             mark = _emit_phase(emitter, "resolve", mark)
 
-        # Greedy selection with budget skip, one vectorized pass per request
-        # slot: each pass takes every peer's first still-affordable
-        # candidate.  Budgets only decrease, so the passes reproduce the
-        # sequential "scan once, skip unaffordable" rule exactly.
-        budget = balances.copy()
-        max_requests = config.max_requests_per_round
-        sel_w = np.full((count, max_requests), -1, dtype=np.int64)
-        open_price = price.copy()
-        for request in range(max_requests):
-            affordable = open_price <= budget[:, None] + _EPS
-            any_affordable = affordable.any(axis=1)
-            if not any_affordable.any():
-                break
-            first = np.argmax(affordable, axis=1)
-            takers = np.flatnonzero(any_affordable)
-            picked = first[takers]
-            sel_w[takers, request] = picked
-            budget[takers] -= open_price[takers, picked]
-            open_price[takers, picked] = np.inf
+        # Greedy selection with budget skip over the resolved cells, whose
+        # row-major order is the global order.
+        taken = _greedy_requests(
+            cand_rows, price, balances.copy(), config.max_requests_per_round
+        )
         if observing:
             mark = _emit_phase(emitter, "greedy", mark)
 
-        flat = np.flatnonzero(sel_w.ravel() >= 0)  # row-major = global order
-        rows = flat // max_requests
-        w = sel_w.ravel()[flat]
-        buyers = slots[rows]
-        sellers = supplier[rows, w]
-        chunk_abs = abs_idx[rows, w]
-        paid = price[rows, w]
+        buyers = slots[cand_rows[taken]]
+        sellers = chosen[taken]
+        chunk_abs = cand_cols[taken] + base
+        paid = price[taken]
 
         # Upload-slot admission in global order: within each seller, the
         # first ``upload_capacity`` requests win.
-        order = np.argsort(sellers, kind="stable")
-        sorted_sellers = sellers[order]
-        rank = np.arange(sellers.size) - np.searchsorted(sorted_sellers, sorted_sellers)
-        admitted = np.empty(sellers.size, dtype=bool)
-        admitted[order] = rank < config.upload_capacity
+        admitted = _admit_uploads(sellers, config.upload_capacity)
         if observing:
             _emit_phase(emitter, "admit", mark)
         return buyers[admitted], sellers[admitted], chunk_abs[admitted], paid[admitted]
@@ -734,7 +850,7 @@ class StreamingMarketSimulator:
         cand_u: np.ndarray,
         seg_len: np.ndarray,
         choice: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Run the supplier-choice expansion, monolithic or sharded by buyer.
 
         Sharded mode partitions the candidate cells by the *buyer's* shard
@@ -775,12 +891,10 @@ class StreamingMarketSimulator:
             for sel in selections
         ]
         chosen = np.zeros(cand_rows.size, dtype=np.int64)
-        resolved = np.zeros(cand_rows.size, dtype=bool)
         results = run_shard_tasks(tasks, backend=self._shard_backend)
-        for sel, (chosen_s, resolved_s) in zip(selections, results):
+        for sel, chosen_s in zip(selections, results):
             chosen[sel] = chosen_s
-            resolved[sel] = resolved_s
-        return chosen, resolved
+        return chosen
 
     def _schedule_loop(
         self,

@@ -321,6 +321,20 @@ class TestSimulatorTelemetry:
             spent = sum(events[index]["duration"] for events in phases.values())
             assert 0.0 <= spent <= tick["duration"]
 
+    def test_observed_vectorized_tick_emits_exactly_the_streaming_phases(self):
+        # The reachability prefilter is timed inside ``mask``: no new phase.
+        sink = MemorySink()
+        simulator = StreamingMarketSimulator(_streaming_config(ticks=3))
+        with use_emitter(MetricsEmitter(sinks=[sink])):
+            simulator.advance_rounds(1)
+        names = {
+            e["name"] for e in sink.span_events() if e["name"].startswith("streaming.phase.")
+        }
+        assert names == {
+            "streaming.phase." + phase
+            for phase in ("emit", "mask", "resolve", "greedy", "admit", "settle", "playback")
+        }
+
     @pytest.mark.parametrize(
         "options, plan",
         [
